@@ -352,7 +352,7 @@ def _f_to_g(x):
     terms = {}
     for i, c in x.terms.items():
         for j in comps.refinements(i):
-            terms[j] = terms.get(j, 0) + c * (-1) ** (len(i) - len(j))
+            terms[j] = terms.get(j, 0) + c * (-1) ** (len(j) - len(i))
     return NSymElement("G", terms)
 
 

@@ -25,6 +25,10 @@ from . import (
 )
 
 
+class UsageError(Exception):
+    """Arguments the parser accepts but the chosen action cannot run with."""
+
+
 def _comp_arg(text):
     try:
         return comps.from_text(text)
@@ -254,9 +258,10 @@ def cmd_motzkin(args):
 
 
 def cmd_factorize(args):
-    count = factorization.count_minimal_factorizations(
+    facs = factorization.canonical_factorizations(
         args.index, args.left, args.right
     )
+    count = len(facs)
     payload = {
         "index": list(args.index),
         "left": list(args.left),
@@ -264,9 +269,6 @@ def cmd_factorize(args):
         "count": count,
     }
     if args.list:
-        facs = factorization.minimal_factorizations(
-            factorization.canonical_permutation(args.index), args.left, args.right
-        )
         payload["factorizations"] = [[list(a), list(b)] for a, b in facs]
         text = "\n".join(f"{a} * {b}" for a, b in payload["factorizations"])
         text = f"{count}\n{text}" if text else str(count)
@@ -276,7 +278,23 @@ def cmd_factorize(args):
     return 0
 
 
+# options each incidence action reads beyond its defaults
+_INCIDENCE_NEEDS = {
+    "multichains": ("n", "k"),
+    "chains": ("n", "jumps"),
+    "biane": ("n", "orders"),
+    "mobius-number": ("n",),
+}
+
+
 def cmd_incidence(args):
+    missing = [
+        f"--{name}"
+        for name in _INCIDENCE_NEEDS.get(args.action, ())
+        if getattr(args, name) is None
+    ]
+    if missing:
+        raise UsageError(f"incidence {args.action} needs {', '.join(missing)}")
     if args.action == "values":
         base = {
             "zeta": incidence.zeta,
@@ -621,9 +639,10 @@ def build_parser():
     q.set_defaults(fn=cmd_convert)
 
     q = sub.add_parser("coproduct", help="coproduct of g_n, G^I or a P-word")
-    q.add_argument("--degree", type=int)
-    q.add_argument("--index", type=_comp_arg)
-    q.add_argument("--word", type=_word_arg)
+    g = q.add_mutually_exclusive_group(required=True)
+    g.add_argument("--degree", type=int)
+    g.add_argument("--index", type=_comp_arg)
+    g.add_argument("--word", type=_word_arg)
     q.add_argument(
         "--route",
         choices=("algebraic", "biprofiles", "noncrossing"),
@@ -632,8 +651,9 @@ def build_parser():
     q.set_defaults(fn=cmd_coproduct)
 
     q = sub.add_parser("antipode", help="antipode of g_n or of a monomial")
-    q.add_argument("--degree", type=int)
-    q.add_argument("--index", type=_comp_arg)
+    g = q.add_mutually_exclusive_group(required=True)
+    g.add_argument("--degree", type=int)
+    g.add_argument("--index", type=_comp_arg)
     q.add_argument("--basis", choices=("S", "L", "R", "G"), default="S")
     q.set_defaults(fn=cmd_antipode)
 
@@ -672,8 +692,9 @@ def build_parser():
     q.set_defaults(fn=cmd_tree)
 
     q = sub.add_parser("motzkin", help="Motzkin path codec")
-    q.add_argument("--word", type=_word_arg)
-    q.add_argument("--path", help="string over U, D, H")
+    g = q.add_mutually_exclusive_group(required=True)
+    g.add_argument("--word", type=_word_arg)
+    g.add_argument("--path", help="string over U, D, H")
     q.set_defaults(fn=cmd_motzkin)
 
     q = sub.add_parser("factorize", help="count minimal factorizations")
@@ -710,6 +731,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as e:
+        parser.error(str(e))
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

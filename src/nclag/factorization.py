@@ -9,6 +9,7 @@ minimal when the transposition lengths add up.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from . import compositions as comps, hopf
 
@@ -75,9 +76,17 @@ def inverse(w):
     return out
 
 
-def permutations_of_reduced_type(m, j_comp):
+def permutations_of_reduced_type(m, j_comp, within=None):
     """All permutations of 1..m with the given reduced ordered cycle type,
-    built by choosing nontrivial cycle supports with increasing minima."""
+    built by choosing nontrivial cycle supports with increasing minima.
+
+    With a permutation ``within`` of 1..m, each cycle support is chosen
+    inside a single cycle of ``within``; the order of what remains is the
+    order of the unrestricted enumeration.
+    """
+    label = {x: 0 for x in range(1, m + 1)}
+    if within is not None:
+        label = {e: k for k, cyc in enumerate(cycles_of(within)) for e in cyc}
 
     def blocks(rest, prev_min, parts):
         if not parts:
@@ -86,7 +95,7 @@ def permutations_of_reduced_type(m, j_comp):
         size = parts[0] + 1
         candidates = sorted(x for x in rest if x > prev_min)
         for mn in candidates:
-            others = [x for x in rest if x > mn]
+            others = [x for x in rest if x > mn and label[x] == label[mn]]
             for chosen in itertools.combinations(others, size - 1):
                 nxt = rest - {mn, *chosen}
                 for tail in blocks(nxt, mn, parts[1:]):
@@ -106,45 +115,80 @@ def permutations_of_reduced_type(m, j_comp):
             yield w
 
 
+def _minimal_pairs(sigma, j_comp):
+    """Every (alpha, beta) with alpha * beta = sigma, alpha of reduced
+    ordered cycle type J, and lt(alpha) + lt(beta) = lt(sigma).
+
+    Only alphas whose cycles lie inside cycles of sigma are tried, which
+    loses nothing.  Lemma: if sigma = alpha * beta is minimal, each orbit B
+    of the group generated by alpha and beta is one cycle of sigma.  The
+    restrictions of alpha and beta to B generate a transitive group, and
+    connecting B takes at least |B| - 1 transpositions, so
+    lt(alpha|B) + lt(beta|B) >= |B| - 1 >= lt(sigma|B).  Summed over the
+    orbits both ends equal lt(sigma), so lt(sigma|B) = |B| - 1 for each
+    orbit: sigma is one cycle on B, and every cycle of alpha, lying in an
+    orbit, lies inside a cycle of sigma.
+    """
+    lt_beta = transposition_length(sigma) - comps.weight(j_comp)
+    for alpha in permutations_of_reduced_type(len(sigma), j_comp, within=sigma):
+        beta = compose(inverse(alpha), sigma)
+        if transposition_length(beta) == lt_beta:
+            yield alpha, beta
+
+
 def minimal_factorizations(sigma, j_comp, k_comp):
     """All (alpha, beta) with alpha*beta = sigma, reduced ordered cycle
     types J and K, and additive transposition lengths."""
-    m = len(sigma)
-    lt = transposition_length(sigma)
-    if comps.weight(j_comp) + comps.weight(k_comp) != lt:
+    if comps.weight(j_comp) + comps.weight(k_comp) != transposition_length(sigma):
         return []
-    out = []
-    for alpha in permutations_of_reduced_type(m, j_comp):
-        beta = compose(inverse(alpha), sigma)
-        if transposition_length(beta) != comps.weight(k_comp):
-            continue
-        if reduced_ordered_cycle_type(beta) == tuple(k_comp):
-            out.append((alpha, beta))
-    return out
+    k_comp = tuple(k_comp)
+    return [
+        (alpha, beta)
+        for alpha, beta in _minimal_pairs(sigma, j_comp)
+        if reduced_ordered_cycle_type(beta) == k_comp
+    ]
+
+
+def _bounded_canonical_permutation(i_comp):
+    sigma = canonical_permutation(i_comp)
+    if len(sigma) > 10:
+        raise ValueError("ambient symmetric group too large (size > 10)")
+    return sigma
+
+
+def canonical_factorizations(i_comp, j_comp, k_comp):
+    """Minimal factorizations of the canonical permutation of reduced type
+    I into factors of reduced types J and K (ambient group at most S_10)."""
+    return minimal_factorizations(
+        _bounded_canonical_permutation(i_comp), j_comp, k_comp
+    )
 
 
 def count_minimal_factorizations(i_comp, j_comp, k_comp) -> int:
     """Number of minimal factorizations of the canonical permutation of
     reduced type I into factors of reduced types J and K."""
-    sigma = canonical_permutation(i_comp)
-    if len(sigma) > 10:
-        raise ValueError("ambient symmetric group too large (size > 10)")
-    return len(minimal_factorizations(sigma, j_comp, k_comp))
+    return len(canonical_factorizations(i_comp, j_comp, k_comp))
 
 
 def verify_coproduct_match(i_comp) -> bool:
     """Factorization counts of the canonical permutation must equal the
-    tensor coefficients of the coproduct of the matching G-basis monomial."""
+    tensor coefficients of the coproduct of the matching G-basis monomial.
+
+    One pass per left type J tallies the reduced type of beta over every
+    minimal factorization; the tally then answers every right type K.
+    """
     i_comp = tuple(i_comp)
-    sigma = canonical_permutation(i_comp)
-    if len(sigma) > 10:
-        raise ValueError("ambient symmetric group too large (size > 10)")
+    sigma = _bounded_canonical_permutation(i_comp)
     delta = hopf.delta_g_monomial(i_comp)
     n = comps.weight(i_comp)
     for a in range(n + 1):
         for j in comps.all_compositions(a):
+            tally = Counter(
+                reduced_ordered_cycle_type(beta)
+                for _, beta in _minimal_pairs(sigma, j)
+            )
             for k in comps.all_compositions(n - a):
-                if len(minimal_factorizations(sigma, j, k)) != delta.coeff(j, k):
+                if tally[k] != delta.coeff(j, k):
                     return False
     return True
 

@@ -10,6 +10,7 @@ functional equation Phi = sum alpha_n t^n Phi^n.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -141,7 +142,8 @@ def multichain_count(n, k) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     v = g_values(zeta_power(k + 1, n))[n]
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ArithmeticError(f"multichain count {v} is not an integer")
     return int(v)
 
 
@@ -154,7 +156,8 @@ def chain_count(n_plus_1, s) -> int:
     v = Fraction(1, n + 1)
     for x in s:
         v *= comb(n + 1, x)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ArithmeticError(f"chain count {v} is not an integer")
     return int(v)
 
 
@@ -173,44 +176,84 @@ def biane_count(n, orders) -> int:
 # Brute-force lattice oracle
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class NCLattice:
     """The refinement order on noncrossing partitions of 1..n, computed by
-    definition; ground truth for the series formulas above."""
+    definition; ground truth for the series formulas above.
+
+    The order is built once: ``elements`` lists the partitions by rank,
+    ``index`` maps each to its position, and ``up[i]`` has bit j set when
+    elements[i] <= elements[j], that is, when every block of elements[i]
+    lies inside a block of elements[j].
+    """
 
     def __init__(self, n):
-        if n > 7:
-            raise ValueError("lattice oracle capped at n = 7")
+        if not 1 <= n <= 7:
+            raise ValueError("lattice oracle needs 1 <= n <= 7")
         self.n = n
-        self.elements = noncrossing.enumerate_nc(n)
+        self.elements = sorted(noncrossing.enumerate_nc(n), key=self.rank)
+        self.index = {p: i for i, p in enumerate(self.elements)}
         self.bottom = noncrossing.NoncrossingPartition.singletons(n)
         self.top = noncrossing.NoncrossingPartition.one_block(n)
+        # together[a, e]: the elements in which a and e share a block
+        together = {}
+        for i, q in enumerate(self.elements):
+            for block in q.blocks:
+                for a, e in itertools.combinations(block, 2):
+                    together[a, e] = together.get((a, e), 0) | 1 << i
+        # p <= q iff each block of p lies in one block of q, that is, iff
+        # q joins the least element of each block of p to the others
+        everything = (1 << len(self.elements)) - 1
+        self.up = []
+        for p in self.elements:
+            mask = everything
+            for block in p.blocks:
+                for e in block[1:]:
+                    mask &= together.get((block[0], e), 0)
+            self.up.append(mask)
+        self._rank_mask = [0] * n
+        for i, p in enumerate(self.elements):
+            self._rank_mask[self.rank(p)] |= 1 << i
         self._mob = {}
 
     def leq(self, p, q) -> bool:
-        qmap = {}
-        for k, b in enumerate(q.blocks):
-            for e in b:
-                qmap[e] = k
-        return all(len({qmap[e] for e in b}) == 1 for b in p.blocks)
+        return bool(self.up[self.index[p]] >> self.index[q] & 1)
 
     def rank(self, p) -> int:
         return self.n - len(p.blocks)
 
     def interval(self, p, q):
-        return [r for r in self.elements if self.leq(p, r) and self.leq(r, q)]
+        qi = self.index[q]
+        return [
+            self.elements[j]
+            for j in _bits(self.up[self.index[p]])
+            if self.up[j] >> qi & 1
+        ]
+
+    def _mobius_row(self, i):
+        """mu(elements[i], elements[j]) for every j above i: one pass up
+        the ranks, each value pushed to everything above it."""
+        if i not in self._mob:
+            row = {}
+            # pending[r]: sum of mu(p, s) over the s in [p, r) done so far,
+            # seeded so that mu(p, p) = 1
+            pending = {i: -1}
+            for j in _bits(self.up[i]):
+                row[j] = value = -pending.pop(j)
+                for r in _bits(self.up[j] ^ 1 << j):
+                    pending[r] = pending.get(r, 0) + value
+            self._mob[i] = row
+        return self._mob[i]
 
     def mobius(self, p, q) -> int:
-        if not self.leq(p, q):
-            return 0
-        key = (p, q)
-        if key not in self._mob:
-            if p == q:
-                self._mob[key] = 1
-            else:
-                self._mob[key] = -sum(
-                    self.mobius(p, r) for r in self.interval(p, q) if r != q
-                )
-        return self._mob[key]
+        return self._mobius_row(self.index[p]).get(self.index[q], 0)
 
     def count_chains(self, s) -> int:
         """Strict chains bottom < p_1 < ... < p_r < top with rank jumps s
@@ -218,30 +261,27 @@ class NCLattice:
         s = tuple(s)
         if sum(s) != self.n - 1:
             raise ValueError("rank jumps must sum to the lattice rank")
-
-        def rec(cur, jumps):
-            if len(jumps) == 1:
-                return 1 if self.leq(cur, self.top) else 0
-            target = self.rank(cur) + jumps[0]
-            return sum(
-                rec(q, jumps[1:])
-                for q in self.elements
-                if self.rank(q) == target and self.leq(cur, q) and q != cur
-            )
-
-        return rec(self.bottom, list(s))
+        ways = {self.index[self.bottom]: 1}
+        for jump in s[:-1]:
+            nxt = {}
+            for i, c in ways.items():
+                target = self.rank(self.elements[i]) + jump
+                if not 0 <= target < self.n:
+                    continue
+                for j in _bits(self.up[i] & self._rank_mask[target] & ~(1 << i)):
+                    nxt[j] = nxt.get(j, 0) + c
+            ways = nxt
+        return sum(ways.values())
 
     def count_multichains(self, k) -> int:
         """Weakly increasing k-tuples."""
-
-        def rec(cur, left):
-            if left == 0:
-                return 1
-            return sum(
-                rec(q, left - 1) for q in self.elements if self.leq(cur, q)
-            )
-
-        return sum(rec(p, k - 1) for p in self.elements)
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        # ways[i]: weakly increasing tuples of the current length from i up
+        ways = [1] * len(self.elements)
+        for _ in range(k - 1):
+            ways = [sum(ways[j] for j in _bits(mask)) for mask in self.up]
+        return sum(ways)
 
     def interval_size(self, p, q) -> int:
         return len(self.interval(p, q))

@@ -521,7 +521,7 @@ def f_basis_table(n):
     for i in order:
         f = NSymElement.zero("S")
         for j in comps.refinements(i):
-            f = f + g_monomial_on_s(j).scale((-1) ** (len(i) - len(j)))
+            f = f + g_monomial_on_s(j).scale((-1) ** (len(j) - len(i)))
         columns.append(f)
     return [[columns[j].coeff(order[i]) for j in range(len(order))] for i in range(len(order))]
 

@@ -51,6 +51,15 @@ def test_nsym_round_trips():
                 assert convert(convert(x, "S"), basis) == x
 
 
+def test_f_conversions_keep_integer_coefficients():
+    # the F -> G signs run over refinements, which only lengthen the index
+    for n in range(1, 6):
+        for i in comps.all_compositions(n):
+            for basis in ("S", "L", "R", "G", "F"):
+                y = convert(NSymElement.monomial("F", i), basis)
+                assert all(type(c) is int for c in y.terms.values()), (i, basis)
+
+
 def test_qsym_round_trips():
     for n in range(5):
         for basis in ("E", "V", "C"):

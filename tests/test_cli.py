@@ -171,6 +171,42 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["incidence", "multichains"],
+        ["incidence", "chains", "--n", "4"],
+        ["incidence", "biane", "--n", "4"],
+        ["incidence", "mobius-number"],
+        ["coproduct"],
+        ["antipode"],
+        ["motzkin"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_missing_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_convert_from_f_prints_integer_coefficients(capsys):
+    code, out, _ = run(capsys, "--json", "convert", "--from", "F", "--to", "L", "--index", "3")
+    assert code == 0
+    coeffs = {tuple(t["index"]): t["coeff"] for t in json.loads(out)["terms"]}
+    assert coeffs == {(3,): "1", (2, 1): "-2", (1, 2): "-1", (1, 1, 1): "2"}
+
+
+def test_factorize_list_matches_count(capsys):
+    code, out, _ = run(
+        capsys, "--json", "factorize", "--index", "5", "--left", "1,2", "--right", "1,1", "--list"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == len(data["factorizations"]) == 7
+
+
 def test_domain_error_is_exit_two(capsys):
     code, _, err = run(capsys, "factorize", "--index", "9,1", "--left", "1", "--right", "9")
     assert code == 2

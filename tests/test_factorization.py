@@ -52,6 +52,33 @@ def test_counts_match_coproduct_coefficients():
                 assert fz.verify_coproduct_match(i)
 
 
+def test_restricted_enumeration_loses_no_factorization():
+    # reference: every permutation of S_m of reduced type J, unrestricted
+    for n in range(1, 6):
+        for i in comps.all_compositions(n):
+            if n + len(i) > 7:
+                continue
+            sigma = fz.canonical_permutation(i)
+            lt = fz.transposition_length(sigma)
+            for a in range(n + 1):
+                for j in comps.all_compositions(a):
+                    reference = {}
+                    for alpha in fz.permutations_of_reduced_type(len(sigma), j):
+                        beta = fz.compose(fz.inverse(alpha), sigma)
+                        if a + fz.transposition_length(beta) == lt:
+                            k = fz.reduced_ordered_cycle_type(beta)
+                            reference.setdefault(k, []).append((alpha, beta))
+                    for k in comps.all_compositions(n - a):
+                        got = fz.minimal_factorizations(sigma, j, k)
+                        assert got == reference.get(k, []), (i, j, k)
+
+
+def test_within_keeps_supports_inside_cycles():
+    sigma = fz.canonical_permutation((1, 1))  # (1 2)(3 4)
+    within = list(fz.permutations_of_reduced_type(4, (1,), within=sigma))
+    assert within == [[2, 1, 3, 4], [1, 2, 4, 3]]
+
+
 def test_representative_independence():
     assert fz.representative_independence_check((2,), [3, 1, 2])
     assert fz.representative_independence_check((2, 1), [4, 1, 5, 2, 3])

@@ -152,6 +152,50 @@ def test_chain_count_validates_jumps():
         inc.chain_count(4, (0, 3))
 
 
+def _refines(p, q):
+    return all(any(set(b) <= set(c) for c in q.blocks) for b in p.blocks)
+
+
+def test_lattice_order_is_block_containment():
+    for n in range(1, 6):
+        lat = inc.lattice_oracle(n)
+        for p in lat.elements:
+            for q in lat.elements:
+                assert lat.leq(p, q) == _refines(p, q), (p, q)
+
+
+def test_lattice_mobius_inverts_zeta():
+    lat = inc.lattice_oracle(5)
+    for p in lat.elements:
+        for q in lat.elements:
+            if _refines(p, q):
+                total = sum(
+                    lat.mobius(p, r)
+                    for r in lat.elements
+                    if _refines(p, r) and _refines(r, q)
+                )
+                assert total == (1 if p == q else 0), (p, q)
+
+
+def test_lattice_multichains_need_positive_length():
+    with pytest.raises(ValueError):
+        inc.lattice_oracle(3).count_multichains(0)
+
+
+def test_multichain_count_rejects_non_integer(monkeypatch):
+    monkeypatch.setattr(inc, "g_values", lambda phi: [Fraction(1, 2)] * 4)
+    with pytest.raises(ArithmeticError):
+        inc.multichain_count(3, 2)
+
+
+def test_chain_count_rejects_non_integer(monkeypatch):
+    monkeypatch.setattr(inc, "comb", lambda n, k: 1)
+    with pytest.raises(ArithmeticError):
+        inc.chain_count(4, (1, 2))
+
+
 def test_lattice_cap():
     with pytest.raises(ValueError):
         inc.NCLattice(8)
+    with pytest.raises(ValueError):
+        inc.NCLattice(0)

@@ -160,6 +160,10 @@ def test_f_change_of_basis_two_routes():
         assert lagrange.f_basis_table(n) == lagrange.f_basis_table_via_breakpoints(n)
 
 
+def test_f_change_of_basis_entries_are_integers():
+    assert all(type(c) is int for row in lagrange.f_basis_table(4) for c in row)
+
+
 def test_f_change_of_basis_degree_three():
     assert lagrange.f_basis_table(3) == [
         [1, 0, 0, 0],

@@ -7,10 +7,15 @@ coefficients are Python ints, so arbitrary precision comes for free.
 
 Conversions route through S (NSym) and M (QSym); the S<->G and M<->C
 transitions are backed by the cached tables of the `lagrange` module.
+
+A sum of many terms accumulates into a fresh dict (`_add_into`,
+`_mul_into`), never into a cached element's terms, and is wrapped in an
+element once at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from . import compositions as comps
@@ -30,6 +35,41 @@ def _clean(terms):
     return {i: c for i, c in terms.items() if c != 0}
 
 
+def _add_into(acc, terms, c=1):
+    """acc += c * terms, in place; `terms` is only read."""
+    get = acc.get
+    if c == 1:
+        for i, v in terms.items():
+            acc[i] = get(i, 0) + v
+    else:
+        for i, v in terms.items():
+            acc[i] = get(i, 0) + c * v
+    return acc
+
+
+def _mul_into(acc, x_terms, y_terms, c=1):
+    """acc += c * x * y, in place, for a product that concatenates indices."""
+    get = acc.get
+    for i, a in x_terms.items():
+        a *= c
+        for j, b in y_terms.items():
+            k = i + j
+            acc[k] = get(k, 0) + a * b
+    return acc
+
+
+def _monomial_into(acc, index, factor, c=1):
+    """acc += c * factor(p_1) * ... * factor(p_r) for index = (p_1, ..., p_r),
+    in place, where factor(p) gives the terms of one factor of a product
+    that concatenates indices."""
+    head = {(): c}
+    for p in index[:-1]:
+        head = _mul_into({}, head, factor(p))
+    if not index:
+        return _add_into(acc, head)
+    return _mul_into(acc, head, factor(index[-1]))
+
+
 class _Element:
     """Shared machinery of NSym and QSym elements (immutable by convention)."""
 
@@ -40,7 +80,7 @@ class _Element:
         if basis not in self._bases:
             raise BasisMismatch(f"unknown basis {basis!r} for {type(self).__name__}")
         self.basis = basis
-        self.terms = _clean(dict(terms or {}))
+        self.terms = _clean(terms) if terms else {}
 
     @classmethod
     def monomial(cls, basis, index, coeff=1):
@@ -63,10 +103,7 @@ class _Element:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for i, c in other.terms.items():
-            terms[i] = terms.get(i, 0) + c
-        return type(self)(self.basis, terms)
+        return type(self)(self.basis, _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -160,12 +197,7 @@ class NSymElement(_Element):
     def __mul__(self, other):
         self._check(other)
         if self.basis in _MULTIPLICATIVE:
-            terms = {}
-            for i, a in self.terms.items():
-                for j, b in other.terms.items():
-                    k = i + j
-                    terms[k] = terms.get(k, 0) + a * b
-            return NSymElement(self.basis, terms)
+            return NSymElement(self.basis, _mul_into({}, self.terms, other.terms))
         if self.basis == "R":
             return _ribbon_product(self, other)
         raise BasisMismatch(f"product not defined on the {self.basis} basis")
@@ -203,7 +235,7 @@ class TensorElement:
 
     def __init__(self, bases, terms=None):
         self.bases = tuple(bases)
-        self.terms = _clean(dict(terms or {}))
+        self.terms = _clean(terms) if terms else {}
 
     @classmethod
     def monomial(cls, bases, left, right, coeff=1):
@@ -223,10 +255,7 @@ class TensorElement:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return TensorElement(self.bases, terms)
+        return TensorElement(self.bases, _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -312,24 +341,19 @@ class TensorElement:
 # NSym basis conversions
 
 
-def _generator_sign_expansion(n, basis):
+def _generator_sign_terms(n):
     """S_n on L (or L_n on S): sum over compositions with sign (-1)^(n-l)."""
-    return NSymElement(
-        basis, {i: (-1) ** (n - len(i)) for i in comps.all_compositions(n)}
-    )
+    return {i: (-1) ** (n - len(i)) for i in comps.all_compositions(n)}
 
 
 def _nsym_to_s(x):
     if x.basis == "S":
         return x
-    out = NSymElement.zero("S")
     if x.basis == "L":
+        acc = {}
         for i, c in x.terms.items():
-            prod = NSymElement.one("S")
-            for p in i:
-                prod = prod * _generator_sign_expansion(p, "S")
-            out = out + prod.scale(c)
-        return out
+            _monomial_into(acc, i, _generator_sign_terms, c)
+        return NSymElement("S", acc)
     if x.basis == "R":
         terms = {}
         for i, c in x.terms.items():
@@ -339,10 +363,10 @@ def _nsym_to_s(x):
     if x.basis == "G":
         from . import lagrange
 
-        out = NSymElement.zero("S")
+        acc = {}
         for i, c in x.terms.items():
-            out = out + lagrange.g_monomial_on_s(i).scale(c)
-        return out
+            _add_into(acc, lagrange.g_monomial_on_s(i).terms, c)
+        return NSymElement("S", acc)
     if x.basis == "F":
         return _nsym_to_s(_f_to_g(x))
     raise BasisMismatch(x.basis)
@@ -368,13 +392,10 @@ def _s_to_target(x, target):
     if target == "S":
         return x
     if target == "L":
-        out = NSymElement.zero("L")
+        acc = {}
         for i, c in x.terms.items():
-            prod = NSymElement.one("L")
-            for p in i:
-                prod = prod * _generator_sign_expansion(p, "L")
-            out = out + prod.scale(c)
-        return out
+            _monomial_into(acc, i, _generator_sign_terms, c)
+        return NSymElement("L", acc)
     if target == "R":
         # S^I = sum of R_J over J coarser than I
         terms = {}
@@ -385,13 +406,13 @@ def _s_to_target(x, target):
     if target == "G":
         from . import lagrange
 
-        out = NSymElement.zero("G")
+        def factor(p):
+            return lagrange.s_generator_on_g(p).terms
+
+        acc = {}
         for i, c in x.terms.items():
-            prod = NSymElement.one("G")
-            for p in i:
-                prod = prod * lagrange.s_generator_on_g(p)
-            out = out + prod.scale(c)
-        return out
+            _monomial_into(acc, i, factor, c)
+        return NSymElement("G", acc)
     if target == "F":
         return _g_to_f(_s_to_target(x, "G"))
     raise BasisMismatch(target)
@@ -426,10 +447,10 @@ def _qsym_to_m(x):
     if x.basis == "C":
         from . import lagrange
 
-        out = QSymElement.zero("M")
+        acc = {}
         for i, c in x.terms.items():
-            out = out + lagrange.c_monomial_on_m(i).scale(c)
-        return out
+            _add_into(acc, lagrange.c_monomial_on_m(i).terms, c)
+        return QSymElement("M", acc)
     raise BasisMismatch(x.basis)
 
 
@@ -449,10 +470,10 @@ def _m_to_target(x, target):
     if target == "C":
         from . import lagrange
 
-        out = QSymElement.zero("C")
+        acc = {}
         for i, c in x.terms.items():
-            out = out + lagrange.m_monomial_on_c(i).scale(c)
-        return out
+            _add_into(acc, lagrange.m_monomial_on_c(i).terms, c)
+        return QSymElement("C", acc)
     raise BasisMismatch(target)
 
 
@@ -475,18 +496,16 @@ def pair(q: QSymElement, f: NSymElement) -> int:
 
 def coproduct(x: NSymElement) -> TensorElement:
     """Coproduct into S(x)S, from Delta S_n = sum_{i+j=n} S_i (x) S_j."""
-    xs = _nsym_to_s(x)
-    out = TensorElement.zero(("S", "S"))
-    for i, c in xs.terms.items():
-        t = TensorElement.one(("S", "S"))
-        for p in i:
-            gen = TensorElement(
-                ("S", "S"),
-                {(((a,) if a else ()), ((p - a,) if p - a else ())): 1 for a in range(p + 1)},
+    # S^I splits into one S_a (x) S_(p-a) per part p; zero parts drop out
+    acc = {}
+    for i, c in _nsym_to_s(x).terms.items():
+        for split in itertools.product(*(range(p + 1) for p in i)):
+            k = (
+                tuple(a for a in split if a),
+                tuple(p - a for p, a in zip(i, split) if p != a),
             )
-            t = t * gen
-        out = out + t.scale(c)
-    return out
+            acc[k] = acc.get(k, 0) + c
+    return TensorElement(("S", "S"), acc)
 
 
 def antipode(x: NSymElement) -> NSymElement:

@@ -59,6 +59,9 @@ def _element_payload(x):
 
 def cmd_expand(args):
     n = args.degree
+    if args.series in ("g", "gk"):
+        # 2^(n-1) terms: bounded here, while the library stays unbounded
+        lagrange._check_bound(n)
     if args.series == "g":
         x = lagrange.g_component(n)
     elif args.series == "gk":
@@ -122,6 +125,9 @@ def cmd_antipode(args):
 
 def cmd_enumerate(args):
     n = args.n
+    if args.what in ("ndpf", "nc", "trees"):
+        # Catalan-many items: bounded here, while the library stays unbounded
+        lagrange._check_bound(n)
     if args.what == "compositions":
         items = [list(c) for c in comps.all_compositions(n)]
         text = "\n".join(comps.to_text(c) for c in comps.all_compositions(n))

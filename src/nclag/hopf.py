@@ -5,7 +5,6 @@ justifies the biprofile route and the commutative two-alphabet check.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from . import lagrange, noncrossing, parking
@@ -22,23 +21,21 @@ def delta_g_algebraic(n) -> TensorElement:
 def delta_g_biprofiles(n) -> TensorElement:
     """Coproduct tallied over parking biprofiles: each contributes the
     monomial indexed by its two length tuples."""
-    out = TensorElement.zero(("G", "G"))
-    for left, right in parking.enumerate_parking_biprofiles(n):
-        out = out + TensorElement.monomial(("G", "G"), left[1], right[1])
-    return out
+    tally = Counter(
+        (left[1], right[1]) for left, right in parking.enumerate_parking_biprofiles(n)
+    )
+    return TensorElement(("G", "G"), tally)
 
 
 def delta_g_noncrossing(n) -> TensorElement:
     """Coproduct tallied over noncrossing partitions of a set one larger:
     reduced ordered type on the left leg, reduced ordered type of the
     Kreweras complement on the right."""
-    out = TensorElement.zero(("G", "G"))
-    for p in noncrossing.enumerate_nc(n + 1):
-        k = noncrossing.kreweras(p)
-        out = out + TensorElement.monomial(
-            ("G", "G"), p.reduced_ordered_type(), k.reduced_ordered_type()
-        )
-    return out
+    tally = Counter(
+        (p.reduced_ordered_type(), noncrossing.kreweras(p).reduced_ordered_type())
+        for p in noncrossing.enumerate_nc(n + 1)
+    )
+    return TensorElement(("G", "G"), tally)
 
 
 def coproduct_witnesses(n, i_comp, j_comp):

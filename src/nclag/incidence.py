@@ -43,15 +43,23 @@ class MultiplicativeFunction:
         return f"MultiplicativeFunction({[str(x) for x in self.hat]})"
 
 
+def _check_degree(N):
+    if N < 0:
+        raise ValueError("degree must be nonnegative")
+
+
 def zeta(N) -> MultiplicativeFunction:
+    _check_degree(N)
     return MultiplicativeFunction([1, 1] + [0] * (N - 1))
 
 
 def identity_character(N) -> MultiplicativeFunction:
+    _check_degree(N)
     return MultiplicativeFunction([1] + [0] * N)
 
 
 def mobius(N) -> MultiplicativeFunction:
+    _check_degree(N)
     # truncated expansion of 1/(1+t)
     return MultiplicativeFunction([(-1) ** n for n in range(N + 1)])
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from functools import lru_cache
 
 from . import algebra, compositions as comps, parking
@@ -58,19 +59,14 @@ class GradedSeries:
         """Degree-d component of the p-th power (memoized)."""
         if p == 0:
             return NSymElement.one("S") if d == 0 else NSymElement.zero("S")
+        if p == 1:
+            return self.component(d)
         key = (p, d)
-        if key in self._pw:
-            return self._pw[key]
-        out = NSymElement.zero("S")
-        for e in range(d + 1):
-            c = self.component(e)
-            if c.is_zero():
-                continue
-            sub = self.power_component(p - 1, d - e)
-            if not sub.is_zero():
-                out = out + c * sub
-        self._pw[key] = out
-        return out
+        if key not in self._pw:
+            self._pw[key] = _sum_of_products(
+                range(d + 1), self.component, lambda e: self.power_component(p - 1, d - e)
+            )
+        return self._pw[key]
 
     def truncate(self, N):
         return GradedSeries(self.components[: N + 1])
@@ -86,18 +82,30 @@ class GradedSeries:
         return "\n".join(lines)
 
 
+def _sum_of_products(indices, left, right, c=1, acc=None):
+    """c * sum over e in indices of left(e) * right(e) on the S basis,
+    accumulated in one fresh dict (or into `acc`, a fresh dict of the
+    caller's); right(e) is only computed where left(e) is nonzero."""
+    acc = {} if acc is None else acc
+    for e in indices:
+        x = left(e)
+        if x.terms:
+            y = right(e)
+            if y.terms:
+                algebra._mul_into(acc, x.terms, y.terms, c)
+    return NSymElement("S", acc)
+
+
 def _extend_solution(series, coeffs, power_rule, N):
     # degree-d right-hand side only involves components < d of the unknown
     for d in range(len(series.components), N + 1):
-        total = NSymElement.zero("S")
-        for n in range(1, d + 1):
-            c = coeffs(n)
-            if c.is_zero():
-                continue
-            sub = series.power_component(power_rule(n), d - n)
-            if not sub.is_zero():
-                total = total + c * sub
-        series.components.append(total)
+        series.components.append(
+            _sum_of_products(
+                range(1, d + 1),
+                coeffs,
+                lambda n: series.power_component(power_rule(n), d - n),
+            )
+        )
 
 
 def solve_functional_equation(coeffs, power_rule, N) -> GradedSeries:
@@ -143,10 +151,8 @@ def g_table(N) -> GradedSeries:
 
 def g_expansion_check(n) -> bool:
     """Recompute g_n as a tally over nondecreasing parking functions."""
-    tally = NSymElement.zero("S")
-    for w in parking.enumerate_ndpf(n):
-        tally = tally + NSymElement.monomial("S", parking.type_of(w))
-    return tally == g_component(n)
+    tally = Counter(parking.type_of(w) for w in parking.enumerate_ndpf(n))
+    return NSymElement("S", tally) == g_component(n)
 
 
 def gk_component(k, n) -> NSymElement:
@@ -160,12 +166,6 @@ def gk_component(k, n) -> NSymElement:
         if n > series.max_degree:
             _extend_solution(series, _s_generator, lambda m: k * m, n)
         return series.components[n]
-
-
-def gk_table(k, N) -> GradedSeries:
-    gk_component(k, N)
-    with _cache_lock:
-        return _gk_series[k].truncate(N) if k != 1 else g_table(N)
 
 
 def gk_component_iterative(k, n) -> NSymElement:
@@ -185,10 +185,8 @@ def gk_component_via_phi(k, n) -> NSymElement:
 
 def k_parking_check(n, k) -> bool:
     """Compare the k-analogue component against the k-NDPF type tally."""
-    tally = NSymElement.zero("S")
-    for w in parking.enumerate_k_ndpf(n, k):
-        tally = tally + NSymElement.monomial("S", parking.type_of(w))
-    return tally == gk_component(k, n)
+    tally = Counter(parking.type_of(w) for w in parking.enumerate_k_ndpf(n, k))
+    return NSymElement("S", tally) == gk_component(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +199,14 @@ def series_inverse(s: GradedSeries) -> GradedSeries:
         raise ValueError("constant term must be the unit")
     inv = [NSymElement.one("S")]
     for d in range(1, s.max_degree + 1):
-        total = NSymElement.zero("S")
-        for e in range(1, d + 1):
-            c = s.component(e)
-            if not c.is_zero():
-                total = total + c * inv[d - e]
-        inv.append(total.scale(-1))
+        inv.append(
+            _sum_of_products(range(1, d + 1), s.component, lambda e: inv[d - e], c=-1)
+        )
     return GradedSeries(inv)
 
 
 def series_product_component(a: GradedSeries, b: GradedSeries, d) -> NSymElement:
-    out = NSymElement.zero("S")
-    for e in range(d + 1):
-        out = out + a.component(e) * b.component(d - e)
-    return out
+    return _sum_of_products(range(d + 1), a.component, lambda e: b.component(d - e))
 
 
 def sigma_series(N) -> GradedSeries:
@@ -229,15 +221,16 @@ def free_cumulants(N) -> GradedSeries:
     sigma = sigma_series(N)
     ks = [NSymElement.one("S")]
     for d in range(1, N + 1):
-        total = _s_generator(d)
-        for n in range(1, d):
-            total = total - _multiply_homogeneous(ks[n], sigma.power_component(n, d - n))
-        ks.append(total)
+        ks.append(
+            _sum_of_products(
+                range(1, d),
+                lambda n: ks[n],
+                lambda n: sigma.power_component(n, d - n),
+                c=-1,
+                acc={(d,): 1},
+            )
+        )
     return GradedSeries(ks)
-
-
-def _multiply_homogeneous(a, b):
-    return a * b
 
 
 def free_cumulant_check(N) -> bool:
@@ -262,11 +255,12 @@ def gamma_check(N) -> bool:
     )
     left = series_inverse(neg)
     for d in range(N + 1):
-        right = NSymElement.one("S") if d == 0 else NSymElement.zero("S")
-        for n in range(1, d + 1):
-            right = right + _s_generator(n) * neg.power_component(n, d - n)
-        if d == 0:
-            right = NSymElement.one("S")
+        right = _sum_of_products(
+            range(1, d + 1),
+            _s_generator,
+            lambda n: neg.power_component(n, d - n),
+            acc={} if d else {(): 1},
+        )
         if left.component(d) != right:
             return False
     return True
@@ -292,15 +286,15 @@ def s_generator_on_g(n) -> NSymElement:
     _check_bound(n)
     if n == 0:
         return NSymElement.one("G")
-    out = NSymElement.monomial("G", (n,))
+
+    def factor(p):
+        return s_generator_on_g(p).terms
+
+    acc = {(n,): 1}
     for j, c in g_component(n).terms.items():
-        if j == (n,):
-            continue
-        prod = NSymElement.one("G")
-        for p in j:
-            prod = prod * s_generator_on_g(p)
-        out = out - prod.scale(c)
-    return out
+        if j != (n,):
+            algebra._monomial_into(acc, j, factor, -c)
+    return NSymElement("G", acc)
 
 
 @lru_cache(maxsize=None)
@@ -342,12 +336,10 @@ def s_to_g_via_recipe(n) -> NSymElement:
     if n == 1:
         return NSymElement.monomial("G", (1,))
     gl = algebra.convert(g_component(n - 1), "L")
-    out = NSymElement.zero("G")
+    acc = {}
     for i, c in gl.terms.items():
-        raised = NSymElement.monomial("G", (i[0] + 1,) + i[1:])
-        lowered = NSymElement.monomial("G", (1,) + i)
-        out = out + (raised - lowered).scale(c)
-    return out.scale((-1) ** n)
+        algebra._add_into(acc, {(i[0] + 1,) + i[1:]: c, (1,) + i: -c}, (-1) ** n)
+    return NSymElement("G", acc)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +511,10 @@ def f_basis_table(n):
     order = comps.all_compositions(n)
     columns = []
     for i in order:
-        f = NSymElement.zero("S")
+        f = {}
         for j in comps.refinements(i):
-            f = f + g_monomial_on_s(j).scale((-1) ** (len(j) - len(i)))
-        columns.append(f)
+            algebra._add_into(f, g_monomial_on_s(j).terms, (-1) ** (len(j) - len(i)))
+        columns.append(NSymElement("S", f))
     return [[columns[j].coeff(order[i]) for j in range(len(order))] for i in range(len(order))]
 
 

@@ -35,6 +35,8 @@ def is_parking(w) -> bool:
 
 def enumerate_k_ndpf(n, k=1):
     """All nondecreasing k-parking functions of length n, lexicographically."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if k < 1:
         raise ValueError("k must be >= 1")
     out = []

@@ -211,3 +211,40 @@ def test_domain_error_is_exit_two(capsys):
     code, _, err = run(capsys, "factorize", "--index", "9,1", "--left", "1", "--right", "9")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("what", ["nc", "ndpf"])
+def test_enumerate_negative_size_is_domain_error(capsys, what):
+    code, _, err = run(capsys, "enumerate", "--what", what, "--n", "-1")
+    assert code == 2
+    assert "must be nonnegative" in err
+
+
+def test_incidence_values_negative_degree_is_domain_error(capsys):
+    code, out, err = run(
+        capsys, "incidence", "values", "--function", "zeta", "--degree", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be nonnegative" in err
+
+
+def test_expand_degree_is_bounded_up_front(capsys, monkeypatch):
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    code, out, err = run(capsys, "expand", "--series", "g", "--degree", "11")
+    assert code == 2
+    assert out == ""
+    assert "NCLAG_MAX_DEGREE" in err
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", "11")
+    code, out, _ = run(capsys, "--json", "expand", "--series", "g", "--degree", "11")
+    assert code == 0
+    assert len(json.loads(out)["terms"]) == 2**10
+
+
+@pytest.mark.parametrize("what", ["ndpf", "nc", "trees"])
+def test_enumerate_size_is_bounded_up_front(capsys, monkeypatch, what):
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    code, out, err = run(capsys, "enumerate", "--what", what, "--n", "11")
+    assert code == 2
+    assert out == ""
+    assert "NCLAG_MAX_DEGREE" in err

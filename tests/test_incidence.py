@@ -199,3 +199,9 @@ def test_lattice_cap():
         inc.NCLattice(8)
     with pytest.raises(ValueError):
         inc.NCLattice(0)
+
+
+@pytest.mark.parametrize("fn", [inc.zeta, inc.mobius, inc.identity_character])
+def test_characters_reject_negative_degree(fn):
+    with pytest.raises(ValueError, match="nonnegative"):
+        fn(-1)

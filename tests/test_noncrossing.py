@@ -152,3 +152,8 @@ def test_touchard_identity():
             for k in range(n // 2 + 1)
         )
         assert total == catalan(n + 1)
+
+
+def test_enumeration_rejects_negative_size():
+    with pytest.raises(ValueError, match="nonnegative"):
+        nc.enumerate_nc(-1)

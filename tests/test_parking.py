@@ -166,3 +166,9 @@ def test_breakpoints():
 def test_incompatible_pair_rejected():
     with pytest.raises(ValueError):
         parking.dumb_bijection((1, 2), (1, 2))
+
+
+def test_enumeration_rejects_negative_size():
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            parking.enumerate_k_ndpf(-1, k)

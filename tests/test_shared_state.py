@@ -1,0 +1,93 @@
+"""Cached elements are shared and immutable by convention: every sum
+accumulates into a fresh dict, never into the terms of an operand or of a
+cached element.  These tests snapshot the caches, run every reader, and
+check that nothing cached changed."""
+
+from nclag import algebra, compositions as comps, hopf, lagrange
+from nclag.algebra import NSymElement, QSymElement, TensorElement
+
+N = 6
+CACHED = (lagrange.g_monomial_on_s, lagrange.s_monomial_on_g, lagrange.s_generator_on_g)
+
+
+def _fill_caches():
+    for d in range(N + 1):
+        lagrange.s_generator_on_g(d)
+        for i in comps.all_compositions(d):
+            lagrange.g_monomial_on_s(i)
+            lagrange.s_monomial_on_g(i)
+    lagrange.gk_component(2, N)
+
+
+def _cached_elements():
+    out = [lagrange.g_component(d) for d in range(9)]
+    for series in (lagrange._g_series, lagrange._gk_series[2]):
+        out += series.components + list(series._pw.values())
+    for d in range(N + 1):
+        out.append(lagrange.s_generator_on_g(d))
+        for i in comps.all_compositions(d):
+            out += [lagrange.g_monomial_on_s(i), lagrange.s_monomial_on_g(i)]
+    return out
+
+
+def _run_readers():
+    for d in range(1, N + 1):
+        g = lagrange.g_component(d)
+        for b in ("G", "L", "R", "F"):
+            y = algebra.convert(g, b)
+            assert algebra.convert(y, "S") == g
+            assert algebra.convert(algebra.convert(y, "G"), b) == y
+    for i in comps.all_compositions(4):
+        for b in ("M", "E", "V", "C"):
+            x = QSymElement.monomial(b, i)
+            assert algebra.qsym_convert(algebra.qsym_convert(x, "C"), b) == x
+    a = [f(N) for f in (lagrange.antipode_g, lagrange.antipode_g_four_step, lagrange.antipode_g_formula)]
+    assert a[0] == a[1] == a[2]
+    t = [f(N) for f in (hopf.delta_g_algebraic, hopf.delta_g_biprofiles, hopf.delta_g_noncrossing)]
+    assert t[0] == t[1] == t[2]
+    for m in range(N // 2 + 1):
+        routes = (lagrange.gk_component, lagrange.gk_component_iterative, lagrange.gk_component_via_phi)
+        k = [f(2, m) for f in routes]
+        assert k[0] == k[1] == k[2]
+    assert lagrange.free_cumulant_check(N)
+    assert lagrange.gamma_check(N)
+    inv = lagrange.series_inverse(lagrange.g_table(N))
+    assert lagrange.series_product_component(inv, lagrange.g_table(N), N).is_zero()
+    for n in range(1, N + 1):
+        assert lagrange.s_to_g_via_recipe(n) == lagrange.s_generator_on_g(n)
+        assert lagrange.g_neg(n) == lagrange.g_neg_via_doubling(n)
+        assert lagrange.g_expansion_check(n)
+    assert lagrange.f_basis_table(4) == lagrange.f_basis_table_via_breakpoints(4)
+    assert hopf.delta_g_monomial((2, 1)) == hopf.delta_g_algebraic(2) * hopf.delta_g_algebraic(1)
+
+
+def test_readers_leave_cached_elements_unchanged():
+    _fill_caches()
+    before = [(x, dict(x.terms)) for x in _cached_elements()]
+    _run_readers()
+    _run_readers()
+    assert all(x.terms == terms for x, terms in before)
+    # the caches still hand out the same values
+    assert [x.terms for x in _cached_elements()] == [terms for _, terms in before]
+    assert all(f.cache_info().currsize for f in CACHED)
+
+
+def test_sums_and_products_never_share_an_operands_terms():
+    g3 = lagrange.g_component(3)
+    pairs = [
+        (g3, lagrange.g_component(3)),
+        (g3, NSymElement.zero("S")),
+        (NSymElement.zero("S"), g3),
+        (g3, NSymElement.one("S")),
+        (NSymElement.one("S"), g3),
+        (lagrange.s_generator_on_g(3), NSymElement.one("G")),
+        (NSymElement.monomial("R", (1, 2)), NSymElement.one("R")),
+        (hopf.delta_g_algebraic(3), TensorElement.one(("G", "G"))),
+    ]
+    for a, b in pairs:
+        before = dict(a.terms), dict(b.terms)
+        for r in (a + b, a - b, a * b):
+            assert r.terms is not a.terms and r.terms is not b.terms
+        assert (a.terms, b.terms) == before
+    q = QSymElement.monomial("C", (2, 1))
+    assert (q + QSymElement.zero("C")).terms is not q.terms

@@ -9,7 +9,9 @@ the owning modules.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 
@@ -103,6 +105,9 @@ def cmd_coproduct(args):
     if args.index is not None:
         t = hopf.delta_g_monomial(args.index)
     else:
+        # the algebraic route meets this bound in its G-basis tables; the
+        # others are checked too, so no route answers what another refuses
+        lagrange._check_bound(args.degree)
         routes = {
             "algebraic": hopf.delta_g_algebraic,
             "biprofiles": hopf.delta_g_biprofiles,
@@ -123,11 +128,28 @@ def cmd_antipode(args):
     return 0
 
 
+def _check_ndpf_count(n, k):
+    """Refuse more nondecreasing k-parking functions than Catalan(bound)
+    words: their Fuss-Catalan count grows with k as well as with n."""
+    if n < 0 or k < 1:
+        return  # the enumeration rejects these itself
+    limit = lagrange.max_degree()
+    count = math.comb((k + 1) * n, n) // (k * n + 1)
+    cap = math.comb(2 * limit, limit) // (limit + 1)
+    if count > cap:
+        raise ValueError(
+            f"{count} words of length {n} for k={k} exceed Catalan({limit}) = {cap} "
+            "(raise NCLAG_MAX_DEGREE to extend)"
+        )
+
+
 def cmd_enumerate(args):
     n = args.n
     if args.what in ("ndpf", "nc", "trees"):
         # Catalan-many items: bounded here, while the library stays unbounded
         lagrange._check_bound(n)
+    if args.what == "ndpf":
+        _check_ndpf_count(n, args.k)
     if args.what == "compositions":
         items = [list(c) for c in comps.all_compositions(n)]
         text = "\n".join(comps.to_text(c) for c in comps.all_compositions(n))
@@ -179,6 +201,8 @@ def cmd_compatible(args):
 
 
 def cmd_biprofiles(args):
+    # Catalan(n + 1) biprofiles: bounded here, while the library stays unbounded
+    lagrange._check_bound(args.n + 1)
     bps = parking.enumerate_parking_biprofiles(args.n)
     payload = []
     lines = []
@@ -362,8 +386,6 @@ def _suite_lagrange(max_n):
 
 
 def _suite_bases(max_n):
-    import itertools
-
     for n in range(max_n + 1):
         for basis in ("L", "R", "G", "F"):
             ok = True
@@ -477,8 +499,6 @@ def _suite_kreweras(max_n):
 
 
 def _suite_appendix(max_n):
-    import math
-
     for n in range(1, max_n + 1):
         pairs = parking.enumerate_compatible_pairs(n)
         cat = math.comb(2 * n, n) // (n + 1)
@@ -528,7 +548,6 @@ def _suite_factorization(max_n):
 
 def _suite_incidence(max_n):
     import itertools
-    import math
 
     N = min(max_n, 6)
     gm = incidence.g_values(incidence.mobius(N))
@@ -636,13 +655,11 @@ def build_parser():
     q.add_argument("--degree", type=int, required=True)
     q.add_argument("--k", type=int, default=2, help="parameter for --series gk")
     q.add_argument("--basis", choices=("S", "L", "R", "G", "F"), default="S")
-    q.set_defaults(fn=cmd_expand)
 
     q = sub.add_parser("convert", help="convert a basis monomial")
     q.add_argument("--from", dest="basis_from", required=True, choices=("S", "L", "R", "G", "F"))
     q.add_argument("--to", dest="basis_to", required=True, choices=("S", "L", "R", "G", "F"))
     q.add_argument("--index", type=_comp_arg, required=True)
-    q.set_defaults(fn=cmd_convert)
 
     q = sub.add_parser("coproduct", help="coproduct of g_n, G^I or a P-word")
     g = q.add_mutually_exclusive_group(required=True)
@@ -654,14 +671,12 @@ def build_parser():
         choices=("algebraic", "biprofiles", "noncrossing"),
         default="algebraic",
     )
-    q.set_defaults(fn=cmd_coproduct)
 
     q = sub.add_parser("antipode", help="antipode of g_n or of a monomial")
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--degree", type=int)
     g.add_argument("--index", type=_comp_arg)
     q.add_argument("--basis", choices=("S", "L", "R", "G"), default="S")
-    q.set_defaults(fn=cmd_antipode)
 
     q = sub.add_parser("enumerate", help="list combinatorial families")
     q.add_argument(
@@ -671,44 +686,36 @@ def build_parser():
     )
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, default=1)
-    q.set_defaults(fn=cmd_enumerate)
 
     q = sub.add_parser("profile", help="profile of a nondecreasing word")
     q.add_argument("--word", type=_word_arg, required=True)
     q.add_argument("--encode", type=int, help="encode as a composition of N")
-    q.set_defaults(fn=cmd_profile)
 
     q = sub.add_parser("compatible", help="compositions compatible with I")
     q.add_argument("--index", type=_comp_arg, required=True)
-    q.set_defaults(fn=cmd_compatible)
 
     q = sub.add_parser("biprofiles", help="parking biprofiles of size n")
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(fn=cmd_biprofiles)
 
     q = sub.add_parser("kreweras", help="Kreweras complement")
     q.add_argument("--partition", required=True, help='e.g. "157|234|6|89"')
-    q.set_defaults(fn=cmd_kreweras)
 
     q = sub.add_parser("tree", help="binary tree reconstruction")
     q.add_argument("action", choices=("rebuild", "tau"))
     q.add_argument("--left", type=_word_arg, required=True)
     q.add_argument("--right", type=_word_arg, required=True)
     q.add_argument("--trace", action="store_true")
-    q.set_defaults(fn=cmd_tree)
 
     q = sub.add_parser("motzkin", help="Motzkin path codec")
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--word", type=_word_arg)
     g.add_argument("--path", help="string over U, D, H")
-    q.set_defaults(fn=cmd_motzkin)
 
     q = sub.add_parser("factorize", help="count minimal factorizations")
     q.add_argument("--index", type=_comp_arg, required=True)
     q.add_argument("--left", type=_comp_arg, required=True)
     q.add_argument("--right", type=_comp_arg, required=True)
     q.add_argument("--list", action="store_true")
-    q.set_defaults(fn=cmd_factorize)
 
     q = sub.add_parser("incidence", help="incidence-algebra computations")
     q.add_argument(
@@ -722,21 +729,29 @@ def build_parser():
     q.add_argument("--k", type=int)
     q.add_argument("--jumps", type=_comp_arg)
     q.add_argument("--orders", type=_comp_arg)
-    q.set_defaults(fn=cmd_incidence)
 
     q = sub.add_parser("verify", help="run cross-route verification suites")
     q.add_argument("--suite", choices=["all"] + sorted(SUITES), required=True)
     q.add_argument("--max-n", type=int, default=5)
-    q.set_defaults(fn=cmd_verify)
 
     return p
 
 
+@functools.cache
+def _shared_parser():
+    """The parser every ``main`` call of this process uses, built on the
+    first call and not at import: building one costs about as much as a
+    median query, and parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so that a cmd_* replaced after the parser was
+        # built (by a test or a tracer) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as e:
         parser.error(str(e))
     except (ValueError, KeyError) as e:

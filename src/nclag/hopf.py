@@ -31,6 +31,8 @@ def delta_g_noncrossing(n) -> TensorElement:
     """Coproduct tallied over noncrossing partitions of a set one larger:
     reduced ordered type on the left leg, reduced ordered type of the
     Kreweras complement on the right."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     tally = Counter(
         (p.reduced_ordered_type(), noncrossing.kreweras(p).reduced_ordered_type())
         for p in noncrossing.enumerate_nc(n + 1)

@@ -50,7 +50,8 @@ def _check_degree(N):
 
 def zeta(N) -> MultiplicativeFunction:
     _check_degree(N)
-    return MultiplicativeFunction([1, 1] + [0] * (N - 1))
+    # truncated expansion of 1 + t
+    return MultiplicativeFunction([1 if n < 2 else 0 for n in range(N + 1)])
 
 
 def identity_character(N) -> MultiplicativeFunction:

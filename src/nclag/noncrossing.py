@@ -83,14 +83,6 @@ def is_noncrossing(blocks) -> bool:
     )
 
 
-def ordered_type(p: NoncrossingPartition):
-    return p.ordered_type()
-
-
-def reduced_ordered_type(p: NoncrossingPartition):
-    return p.reduced_ordered_type()
-
-
 def to_text(p: NoncrossingPartition) -> str:
     sep = "," if p.n > 9 else ""
     return "|".join(sep.join(str(e) for e in b) for b in p.blocks)
@@ -191,7 +183,11 @@ def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
     out = permutation_to_nc(prod)
     # noncrossing by theory; the constructor re-validates, but make the
     # cycle traversal consistency explicit too
-    assert nc_to_permutation(out) == prod
+    if nc_to_permutation(out) != prod:
+        raise ArithmeticError(
+            f"the blocks of the Kreweras complement of {to_text(p)} are not "
+            "the cycles of its permutation"
+        )
     return out
 
 
@@ -294,13 +290,17 @@ def _branch_blocks(t, side):
 def tree_phi(t: BinaryTree):
     """The pair (left-branch partition, right-branch partition) of a tree
     under infix labeling; the second is the Kreweras complement of the
-    first (asserted)."""
+    first (checked)."""
     if t is None:
         raise ValueError("tree must be nonempty")
     n = t.size()
     p_left = NoncrossingPartition(n, _branch_blocks(t, "L"))
     p_right = NoncrossingPartition(n, _branch_blocks(t, "R"))
-    assert kreweras(p_left) == p_right
+    if kreweras(p_left) != p_right:
+        raise ArithmeticError(
+            f"right branches {to_text(p_right)} are not the Kreweras "
+            f"complement of the left branches {to_text(p_left)}"
+        )
     return p_left, p_right
 
 

@@ -67,15 +67,6 @@ def type_of(w):
     return tuple(len(list(g)) for _, g in itertools.groupby(w))
 
 
-def k_evaluation(w, k=1):
-    """Occurrences of each letter 1..kn+1 (a generalized Lukasiewicz word)."""
-    n = len(w)
-    ev = [0] * (k * n + 1)
-    for v in w:
-        ev[v - 1] += 1
-    return tuple(ev)
-
-
 @lru_cache(maxsize=None)
 def ndpf_count_of_type(comp) -> int:
     """Number of nondecreasing parking functions with packed evaluation comp.
@@ -143,17 +134,6 @@ def profile(w):
         lengths.append(c)
         pos += c
     return tuple(starts), tuple(lengths)
-
-
-def factor_words(w):
-    """The actual factors of the profile factorization of w."""
-    s, c = profile(w)
-    out = []
-    pos = 0
-    for ci in c:
-        out.append(w[pos : pos + ci])
-        pos += ci
-    return out
 
 
 def is_profile(p) -> bool:

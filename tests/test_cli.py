@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -248,3 +249,177 @@ def test_enumerate_size_is_bounded_up_front(capsys, monkeypatch, what):
     assert code == 2
     assert out == ""
     assert "NCLAG_MAX_DEGREE" in err
+
+
+@pytest.mark.parametrize(
+    "function", [["zeta"], ["zeta", "--power", "2"], ["mobius"], ["identity"]], ids="-".join
+)
+def test_incidence_values_at_degree_zero_is_one_value(capsys, function):
+    code, out, _ = run(capsys, "incidence", "values", "--degree", "0", "--function", *function)
+    assert code == 0
+    assert out == "1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coproduct", "--degree", "11", "--route", "algebraic"],
+        ["coproduct", "--degree", "11", "--route", "biprofiles"],
+        ["coproduct", "--degree", "11", "--route", "noncrossing"],
+        ["biprofiles", "--n", "10"],
+        # 27,343,888 words, while n = 10 alone is within the bound
+        ["enumerate", "--what", "ndpf", "--n", "10", "--k", "3"],
+    ],
+    ids="-".join,
+)
+def test_listing_sizes_are_bounded_up_front(capsys, monkeypatch, argv):
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "NCLAG_MAX_DEGREE" in err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["coproduct", "--degree", "5", "--route", "algebraic"], 5),
+        (["coproduct", "--degree", "5", "--route", "biprofiles"], 5),
+        (["coproduct", "--degree", "5", "--route", "noncrossing"], 5),
+        (["biprofiles", "--n", "4"], 5),
+        # 55 words: more than Catalan(5) = 42, fewer than Catalan(6) = 132
+        (["enumerate", "--what", "ndpf", "--n", "4", "--k", "2"], 6),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
+)
+def test_bounded_sizes_pass_with_a_raised_bound(capsys, monkeypatch, argv, bound):
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", str(bound - 1))
+    assert run(capsys, *argv)[0] == 2
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", str(bound))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip()
+
+
+def test_ndpf_bound_admits_fuss_catalan_counts_up_to_catalan_of_the_bound(capsys, monkeypatch):
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    code, out, _ = run(capsys, "--json", "enumerate", "--what", "ndpf", "--n", "7", "--k", "2")
+    assert code == 0
+    assert len(json.loads(out)["items"]) == 7752  # Catalan(10) = 16796
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one ``main`` call, usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# one call of every subcommand, plain and --json, with calls that differ
+# from the one before only in an option, a usage error and both error codes
+MIXED_CALLS = [
+    ["expand", "--series", "g", "--degree", "3"],
+    ["--json", "expand", "--series", "gk", "--k", "3", "--degree", "2", "--basis", "G"],
+    ["convert", "--from", "G", "--to", "S", "--index", "21"],
+    ["--json", "coproduct", "--degree", "3"],
+    ["coproduct", "--word", "112"],
+    ["coproduct", "--index", "21"],
+    ["coproduct", "--degree", "3", "--route", "noncrossing"],
+    ["antipode", "--index", "12", "--basis", "G"],
+    ["--json", "antipode", "--degree", "3"],
+    ["enumerate", "--what", "ndpf", "--n", "3", "--k", "2"],
+    ["enumerate", "--what", "nc", "--n", "3"],
+    ["profile", "--word", "2336799", "--encode", "12"],
+    ["--json", "profile", "--word", "113"],
+    ["compatible", "--index", "21"],
+    ["coproduct"],
+    ["biprofiles", "--n", "2"],
+    ["--json", "kreweras", "--partition", "157|234|6|89"],
+    ["tree", "rebuild", "--left", "312321", "--right", "1312212", "--trace"],
+    ["tree", "rebuild", "--left", "312321", "--right", "1312212"],
+    ["--json", "tree", "tau", "--left", "312321", "--right", "1312212"],
+    ["tree", "rebuild", "--left", "12", "--right", "12"],
+    ["motzkin", "--word", "34455"],
+    ["motzkin", "--path", "UUHDD"],
+    ["factorize", "--index", "5", "--left", "1,2", "--right", "1,1", "--list"],
+    ["incidence", "values", "--power", "2", "--degree", "4"],
+    ["incidence", "chains", "--n", "4", "--jumps", "111"],
+    ["--json", "incidence", "multichains", "--n", "3", "--k", "2"],
+    ["enumerate", "--what", "nc", "--n", "-1"],
+    ["verify", "--suite", "antipode", "--max-n", "2"],
+    ["expand", "--series", "g", "--degree", "3"],
+]
+
+
+def _without_timing(result):
+    code, out, err = result
+    return code, re.sub(r", [0-9.]+s\)", ", s)", out), err
+
+
+def test_calls_in_one_process_share_one_parser_and_no_state(capsys, monkeypatch):
+    alone = []
+    for argv in MIXED_CALLS:
+        cli._shared_parser.cache_clear()
+        alone.append(_without_timing(outcome(capsys, argv)))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._shared_parser.cache_clear()
+    together = [_without_timing(outcome(capsys, argv)) for argv in MIXED_CALLS]
+    assert len(built) == 1
+    assert together == alone
+    assert [code for code, _, _ in together].count(1) == 1  # the failed rebuild
+    assert [code for code, _, _ in together].count(2) == 2
+
+
+def test_main_runs_a_subcommand_replaced_after_the_parser_was_built(capsys, monkeypatch):
+    assert cli.main(["kreweras", "--partition", "1|2"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_kreweras", lambda args: seen.append(args.partition) or 0)
+    assert cli.main(["kreweras", "--partition", "12"]) == 0
+    assert seen == ["12"]
+
+
+# Exit 1 means a failed verification or tree rebuild and nothing else: every
+# other bad input is a usage or domain error, exit 2.
+BAD_INPUTS = [
+    [],
+    ["--json"],
+    ["frobnicate"],
+    ["expand", "--degree", "x"],
+    ["expand", "--degree", "-1"],
+    ["expand", "--series", "gk", "--k", "0", "--degree", "3"],
+    ["convert", "--from", "S", "--to", "G", "--index", "abc"],
+    ["convert", "--from", "S", "--to", "G", "--index", "12,0"],
+    ["coproduct", "--degree", "-1", "--route", "noncrossing"],
+    ["coproduct", "--word", "31"],
+    ["coproduct", "--degree", "3", "--word", "11"],
+    ["antipode", "--index", "0"],
+    ["enumerate", "--what", "trees", "--n", "-1"],
+    ["enumerate", "--what", "ndpf", "--n", "3", "--k", "0"],
+    ["profile", "--word", "321"],
+    ["profile", "--word", "123", "--encode", "1"],
+    ["compatible", "--index", "x"],
+    ["biprofiles", "--n", "-1"],
+    ["kreweras", "--partition", "13|24"],
+    ["kreweras", "--partition", "12|2"],
+    ["tree", "tau", "--left", "12", "--right", "12"],
+    ["tree", "rebuild", "--left", "x", "--right", "1"],
+    ["motzkin", "--word", "21"],
+    ["motzkin", "--path", "D"],
+    ["factorize", "--index", "0", "--left", "1", "--right", "1"],
+    ["incidence", "multichains", "--n", "3", "--k", "0"],
+    ["incidence", "chains", "--n", "3", "--jumps", "5"],
+    ["incidence", "mobius-number", "--n", "9"],
+    ["verify", "--suite", "nope"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: "-".join(argv) or "no-arguments")
+def test_bad_input_is_exit_two(capsys, argv):
+    code, _, err = outcome(capsys, argv)
+    assert code == 2
+    assert "error" in err

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from nclag import compositions as comps, hopf, noncrossing as nc, parking
 
 
@@ -94,3 +96,9 @@ def test_tree_weights_tally_to_series():
             key = hopf.tree_weight(t)
             tally[key] = tally.get(key, 0) + 1
         assert tally == hopf.delta_g_commutative_via_trees(n)
+
+
+def test_every_route_rejects_a_negative_degree():
+    for route in (hopf.delta_g_algebraic, hopf.delta_g_biprofiles, hopf.delta_g_noncrossing):
+        with pytest.raises(ValueError, match="nonnegative"):
+            route(-1)

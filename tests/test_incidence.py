@@ -205,3 +205,8 @@ def test_lattice_cap():
 def test_characters_reject_negative_degree(fn):
     with pytest.raises(ValueError, match="nonnegative"):
         fn(-1)
+
+
+@pytest.mark.parametrize("fn", [inc.zeta, inc.mobius, inc.identity_character])
+def test_characters_at_degree_zero_are_the_constant_one(fn):
+    assert fn(0).hat == [1]

@@ -157,3 +157,23 @@ def test_touchard_identity():
 def test_enumeration_rejects_negative_size():
     with pytest.raises(ValueError, match="nonnegative"):
         nc.enumerate_nc(-1)
+
+
+def test_kreweras_rejects_a_complement_that_loses_its_cycles(monkeypatch):
+    # a cycle walk that always answers "all singletons" breaks the check
+    # for any partition whose complement is not the identity
+    def singletons(w):
+        return nc.NoncrossingPartition(len(w), [[i] for i in range(1, len(w) + 1)])
+
+    monkeypatch.setattr(nc, "permutation_to_nc", singletons)
+    with pytest.raises(ArithmeticError):
+        nc.kreweras(nc.from_text("1|2|3"))
+
+
+def test_tree_phi_rejects_branches_that_are_not_complements(monkeypatch):
+    # at n = 2 the two branch partitions have different block counts, so a
+    # "complement" that returns its input never matches
+    (t, *_) = nc.enumerate_trees(2)
+    monkeypatch.setattr(nc, "kreweras", lambda p: p)
+    with pytest.raises(ArithmeticError):
+        nc.tree_phi(t)

@@ -61,9 +61,8 @@ def _element_payload(x):
 
 def cmd_expand(args):
     n = args.degree
-    if args.series in ("g", "gk"):
-        # 2^(n-1) terms: bounded here, while the library stays unbounded
-        lagrange._check_bound(n)
+    # 2^(n-1) terms: bounded here, while the library stays unbounded
+    lagrange._check_bound(n)
     if args.series == "g":
         x = lagrange.g_component(n)
     elif args.series == "gk":
@@ -145,9 +144,9 @@ def _check_ndpf_count(n, k):
 
 def cmd_enumerate(args):
     n = args.n
-    if args.what in ("ndpf", "nc", "trees"):
-        # Catalan-many items: bounded here, while the library stays unbounded
-        lagrange._check_bound(n)
+    # Catalan or 2^(n-1) items (`compatible` tries all pairs of
+    # compositions): bounded here, while the library stays unbounded
+    lagrange._check_bound(n)
     if args.what == "ndpf":
         _check_ndpf_count(n, args.k)
     if args.what == "compositions":
@@ -326,14 +325,13 @@ def cmd_incidence(args):
     if missing:
         raise UsageError(f"incidence {args.action} needs {', '.join(missing)}")
     if args.action == "values":
+        lagrange._check_bound(args.degree)
         base = {
             "zeta": incidence.zeta,
             "mobius": incidence.mobius,
             "identity": incidence.identity_character,
         }[args.function](args.degree)
-        phi = base
-        for _ in range(args.power - 1):
-            phi = incidence.convolve(phi, base)
+        phi = incidence.power(base, args.power)
         vals = incidence.g_values(phi)
         payload = {
             "function": args.function,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from . import compositions as comps, hopf
+from . import compositions as comps, hopf, noncrossing
 
 
 def canonical_permutation(i_comp):
@@ -31,27 +31,8 @@ def canonical_permutation(i_comp):
     return w
 
 
-def cycles_of(w):
-    """Cycles listed by increasing minima, each starting at its minimum."""
-    n = len(w)
-    seen = set()
-    out = []
-    for start in range(1, n + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        e = w[start - 1]
-        while e != start:
-            cyc.append(e)
-            seen.add(e)
-            e = w[e - 1]
-        out.append(cyc)
-    return out
-
-
 def ordered_cycle_type(w):
-    return tuple(len(c) for c in cycles_of(w))
+    return tuple(len(c) for c in noncrossing.cycles_of(w))
 
 
 def reduced_ordered_cycle_type(w):
@@ -61,7 +42,7 @@ def reduced_ordered_cycle_type(w):
 
 
 def transposition_length(w) -> int:
-    return len(w) - len(cycles_of(w))
+    return len(w) - len(noncrossing.cycles_of(w))
 
 
 def compose(a, b):
@@ -86,7 +67,7 @@ def permutations_of_reduced_type(m, j_comp, within=None):
     """
     label = {x: 0 for x in range(1, m + 1)}
     if within is not None:
-        label = {e: k for k, cyc in enumerate(cycles_of(within)) for e in cyc}
+        label = {e: k for k, cyc in enumerate(noncrossing.cycles_of(within)) for e in cyc}
 
     def blocks(rest, prev_min, parts):
         if not parts:
@@ -222,7 +203,7 @@ def representative_independence_check(i_comp, other_sigma) -> bool:
     want = tuple(sorted(ordered_cycle_type(sigma)))
     got = tuple(
         sorted(
-            sorted(len(c) for c in cycles_of(other_sigma))
+            sorted(len(c) for c in noncrossing.cycles_of(other_sigma))
             + [1] * (len(sigma) - len(other_sigma))
         )
     )

@@ -76,12 +76,18 @@ def convolve(phi, psi) -> MultiplicativeFunction:
     return MultiplicativeFunction(hat)
 
 
-def zeta_power(k, N) -> MultiplicativeFunction:
-    out = identity_character(N)
-    z = zeta(N)
+def power(phi, k) -> MultiplicativeFunction:
+    """The k-th convolution power of phi; the 0th is the identity."""
+    if k < 0:
+        raise ValueError("power must be nonnegative")
+    out = identity_character(phi.max_degree)
     for _ in range(k):
-        out = convolve(out, z)
+        out = convolve(out, phi)
     return out
+
+
+def zeta_power(k, N) -> MultiplicativeFunction:
+    return power(zeta(N), k)
 
 
 def g_values(phi):

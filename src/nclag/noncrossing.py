@@ -14,15 +14,25 @@ from . import parking
 
 
 class NoncrossingPartition:
+    """A noncrossing partition of 1..n.  The constructor checks that the
+    blocks partition 1..n and that they do not cross, each in one pass over
+    1..n (the lemma behind the crossing test is in `_blocks_noncrossing`).
+    """
+
     __slots__ = ("n", "blocks")
 
     def __init__(self, n, blocks):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        seen = [e for b in blocks for e in b]
-        if sorted(seen) != list(range(1, n + 1)):
+        owner = [None] * (n + 1)
+        for k, b in enumerate(blocks):
+            for e in b:
+                if not 1 <= e <= n or owner[e] is not None:
+                    raise ValueError("blocks must partition 1..n")
+                owner[e] = k
+        if None in owner[1:]:
             raise ValueError("blocks must partition 1..n")
-        if not _blocks_noncrossing(blocks):
+        if not _blocks_noncrossing(blocks, owner, range(1, n + 1)):
             raise ValueError("blocks are crossing")
         self.n = n
         self.blocks = blocks
@@ -61,26 +71,41 @@ class NoncrossingPartition:
         return cls(n, [tuple(range(1, n + 1))])
 
 
-def _blocks_noncrossing(blocks) -> bool:
-    # two blocks cross iff their merged element sequence alternates 4+ runs
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            merged = sorted(
-                [(e, 0) for e in blocks[a]] + [(e, 1) for e in blocks[b]]
-            )
-            runs = 1
-            for k in range(1, len(merged)):
-                if merged[k][1] != merged[k - 1][1]:
-                    runs += 1
-            if runs >= 4:
-                return False
+def _blocks_noncrossing(blocks, owner, elements) -> bool:
+    """Whether sorted blocks cross, in one scan of their elements.
+
+    ``elements`` lists the union of the blocks in increasing order, and
+    ``owner[e]`` is the index of the block holding e.  The scan keeps a
+    stack of open blocks: a block is pushed at its minimum and popped at
+    its maximum.  Lemma: the blocks are noncrossing iff every element that
+    is not its block's minimum belongs to the block on top of the stack.
+    If the scan succeeds up to e, the stack holds exactly the blocks with
+    min < e <= max, by increasing minimum (the block popped at e - 1 was on
+    top).  So a failure at e in X under a top Y gives
+    min X < min Y < e < max Y, a crossing.  Conversely, take a crossing
+    a < b < c < d with a, c in A and b, d in B.  If min A < min B, B is
+    pushed above A by b and stays until d, so the scan fails at c (not A's
+    minimum) at the latest; otherwise min B < min A <= a < b, A lies above
+    B from a to c, and the scan fails at b at the latest.
+    """
+    stack = []
+    for e in elements:
+        k = owner[e]
+        b = blocks[k]
+        if e == b[0]:
+            stack.append(k)
+        elif stack[-1] != k:
+            return False
+        if e == b[-1]:
+            stack.pop()
     return True
 
 
 def is_noncrossing(blocks) -> bool:
-    return _blocks_noncrossing(
-        tuple(tuple(sorted(b)) for b in blocks)
-    )
+    """Whether disjoint blocks (of any ground set) are noncrossing."""
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
+    owner = {e: k for k, b in enumerate(blocks) for e in b}
+    return _blocks_noncrossing(blocks, owner, sorted(owner))
 
 
 def to_text(p: NoncrossingPartition) -> str:
@@ -153,22 +178,28 @@ def nc_to_permutation(p: NoncrossingPartition):
     return w
 
 
-def permutation_to_nc(w) -> NoncrossingPartition:
+def cycles_of(w):
+    """Cycles of a one-line permutation, listed by increasing minima, each
+    starting at its minimum."""
     n = len(w)
-    seen = set()
-    blocks = []
+    seen = [False] * (n + 1)
+    out = []
     for start in range(1, n + 1):
-        if start in seen:
+        if seen[start]:
             continue
         cyc = [start]
-        seen.add(start)
+        seen[start] = True
         e = w[start - 1]
         while e != start:
             cyc.append(e)
-            seen.add(e)
+            seen[e] = True
             e = w[e - 1]
-        blocks.append(cyc)
-    return NoncrossingPartition(n, blocks)
+        out.append(cyc)
+    return out
+
+
+def permutation_to_nc(w) -> NoncrossingPartition:
+    return NoncrossingPartition(len(w), cycles_of(w))
 
 
 def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:

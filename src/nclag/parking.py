@@ -156,21 +156,27 @@ def min_word(p):
     return tuple(out)
 
 
-def joint_profile(left, right):
-    """Merge two profiles by start, left biletters winning ties."""
-    s, c = left
-    t, d = right
-    biletters = [(x, 0, y) for x, y in zip(s, c)] + [(x, 1, y) for x, y in zip(t, d)]
-    biletters.sort(key=lambda b: (b[0], b[1]))
-    return tuple(b[0] for b in biletters), tuple(b[2] for b in biletters)
-
-
 def is_parking_biprofile(left, right) -> bool:
     """Whether representatives u, v of the two profiles concatenate to a
-    parking function: in the joint profile, x_m <= y_1+...+y_{m-1}+1."""
-    xs, ys = joint_profile(left, right)
-    acc = 0
-    for x, y in zip(xs, ys):
+    parking function: in the joint profile (the biletters (x, y) of both
+    profiles merged by start x, left biletters winning ties),
+    x_m <= y_1+...+y_{m-1}+1.
+
+    Both start tuples are strictly increasing, so one merge walks the joint
+    profile; it stops at the first biletter with x > acc + 1.  (The tie
+    rule does not change the answer: the second biletter of a tie follows
+    one that passed with the same x and a larger total.)
+    """
+    s, c = left
+    t, d = right
+    i = j = acc = 0
+    while i < len(s) or j < len(t):
+        if j == len(t) or (i < len(s) and s[i] <= t[j]):
+            x, y = s[i], c[i]
+            i += 1
+        else:
+            x, y = t[j], d[j]
+            j += 1
         if x > acc + 1:
             return False
         acc += y
@@ -201,12 +207,14 @@ def enumerate_parking_biprofiles(n):
     """All parking biprofiles of size n (lengths on both sides sum to n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    by_length = [_profiles_of_length(total, max(n, 1)) for total in range(n + 1)]
     out = []
     for m in range(n + 1):
-        for left in _profiles_of_length(m, max(n, 1)):
-            for right in _profiles_of_length(n - m, max(n, 1)):
-                if is_parking_biprofile(left, right):
-                    out.append((left, right))
+        rights = by_length[n - m]
+        for left in by_length[m]:
+            out.extend(
+                (left, right) for right in rights if is_parking_biprofile(left, right)
+            )
     return out
 
 

@@ -139,6 +139,30 @@ def test_incidence_values(capsys):
     assert out.strip() == "1 3 12 55"
 
 
+@pytest.mark.parametrize("function", ["zeta", "mobius", "identity"])
+def test_incidence_values_zeroth_power_is_the_identity(capsys, function):
+    code, out, _ = run(
+        capsys, "incidence", "values", "--function", function, "--power", "0", "--degree", "6"
+    )
+    assert code == 0
+    assert out == "1 0 0 0 0 0 0\n"
+
+
+@pytest.mark.parametrize("function", ["zeta", "mobius"])
+def test_incidence_values_first_power_is_the_function(capsys, function):
+    _, once, _ = run(capsys, "incidence", "values", "--function", function, "--power", "1")
+    _, default, _ = run(capsys, "incidence", "values", "--function", function)
+    assert once == default
+    assert once != "1 0 0 0 0 0 0\n"
+
+
+def test_incidence_values_negative_power_is_domain_error(capsys):
+    code, out, err = run(capsys, "incidence", "values", "--power", "-1")
+    assert code == 2
+    assert out == ""
+    assert "power must be nonnegative" in err
+
+
 def test_incidence_counts(capsys):
     code, out, _ = run(capsys, "incidence", "chains", "--n", "4", "--jumps", "111")
     assert code == 0
@@ -269,6 +293,12 @@ def test_incidence_values_at_degree_zero_is_one_value(capsys, function):
         ["biprofiles", "--n", "10"],
         # 27,343,888 words, while n = 10 alone is within the bound
         ["enumerate", "--what", "ndpf", "--n", "10", "--k", "3"],
+        ["enumerate", "--what", "compositions", "--n", "30"],
+        ["enumerate", "--what", "compatible", "--n", "11"],
+        ["expand", "--series", "gneg", "--degree", "11"],
+        ["expand", "--series", "antipode", "--degree", "11"],
+        ["expand", "--series", "cumulant", "--degree", "30"],
+        ["incidence", "values", "--degree", "100000"],
     ],
     ids="-".join,
 )
@@ -289,6 +319,12 @@ def test_listing_sizes_are_bounded_up_front(capsys, monkeypatch, argv):
         (["biprofiles", "--n", "4"], 5),
         # 55 words: more than Catalan(5) = 42, fewer than Catalan(6) = 132
         (["enumerate", "--what", "ndpf", "--n", "4", "--k", "2"], 6),
+        (["enumerate", "--what", "compositions", "--n", "5"], 5),
+        (["enumerate", "--what", "compatible", "--n", "5"], 5),
+        (["expand", "--series", "gneg", "--degree", "4"], 4),
+        (["expand", "--series", "antipode", "--degree", "4"], 4),
+        (["expand", "--series", "cumulant", "--degree", "4"], 4),
+        (["incidence", "values", "--degree", "4"], 4),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
 )

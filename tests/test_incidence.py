@@ -37,6 +37,22 @@ def test_zeta_powers_match_closed_form():
             assert vals[n] == inc.zeta_power_value(k, n)
 
 
+@pytest.mark.parametrize("base", [inc.zeta, inc.mobius, inc.identity_character])
+def test_convolution_powers(base):
+    phi = base(6)
+    assert inc.power(phi, 0) == inc.identity_character(6)
+    assert inc.power(phi, 1) == phi
+    assert inc.power(phi, 3) == inc.convolve(phi, inc.convolve(phi, phi))
+    with pytest.raises(ValueError, match="nonnegative"):
+        inc.power(phi, -1)
+
+
+def test_zeta_power_is_the_power_of_zeta():
+    for k in range(5):
+        assert inc.zeta_power(k, 6) == inc.power(inc.zeta(6), k)
+    assert inc.g_values(inc.zeta_power(0, 4)) == [1, 0, 0, 0, 0]
+
+
 def test_ternary_tree_values():
     assert [inc.zeta_power_value(3, n) for n in range(4)] == [1, 3, 12, 55]
 

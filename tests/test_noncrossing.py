@@ -9,10 +9,84 @@ def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
 
 
+def crosses_pairwise(blocks):
+    """Reference: two blocks cross iff their merged element sequence
+    alternates in 4+ runs."""
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            merged = sorted([(e, 0) for e in blocks[a]] + [(e, 1) for e in blocks[b]])
+            runs = 1 + sum(merged[k][1] != merged[k - 1][1] for k in range(1, len(merged)))
+            if runs >= 4:
+                return True
+    return False
+
+
+def set_partitions(n):
+    """Every set partition of 1..n, blocks in order of their minima."""
+    if n == 0:
+        yield []
+        return
+    for p in set_partitions(n - 1):
+        for k in range(len(p)):
+            yield p[:k] + [p[k] + (n,)] + p[k + 1:]
+        yield p + [(n,)]
+
+
 def test_crossing_detection():
     assert nc.is_noncrossing([(1, 2), (3, 4)])
     assert nc.is_noncrossing([(1, 4), (2, 3)])
     assert not nc.is_noncrossing([(1, 3), (2, 4)])
+
+
+def test_crossing_detection_on_blocks_that_skip_elements():
+    assert nc.is_noncrossing([(2, 9), (4, 7), (11,)])
+    assert nc.is_noncrossing([(4, 2), (), (3,)])
+    assert not nc.is_noncrossing([(9, 2), (4, 11)])
+    assert not nc.is_noncrossing([(5,), (1, 3, 8), (6, 10)])
+
+
+def test_linear_scan_equals_the_pairwise_reference_on_every_set_partition():
+    seen = 0
+    for n in range(9):
+        for blocks in set_partitions(n):
+            seen += 1
+            crossing = crosses_pairwise(blocks)
+            assert nc.is_noncrossing(blocks) is not crossing
+            # the same blocks in another order and with shuffled elements
+            assert nc.is_noncrossing([tuple(reversed(b)) for b in reversed(blocks)]) is not crossing
+            if crossing:
+                with pytest.raises(ValueError, match="crossing"):
+                    nc.NoncrossingPartition(n, blocks)
+            else:
+                assert nc.NoncrossingPartition(n, blocks).blocks == tuple(blocks)
+    assert seen == 1 + 1 + 2 + 5 + 15 + 52 + 203 + 877 + 4140  # Bell numbers
+
+
+@pytest.mark.parametrize(
+    "n, blocks",
+    [
+        (4, [(1, 2), (3,)]),  # 4 missing
+        (3, [(1, 2), (2, 3)]),  # 2 twice
+        (3, [(1, 2), (3, 4)]),  # 4 outside 1..3
+        (3, [(0, 1), (2, 3)]),  # 0 outside 1..3
+        (2, [(1, 2), (1, 2)]),
+        (0, [(1,)]),
+        # crossing as well as not a partition: the partition check comes first
+        (5, [(1, 3), (2, 4)]),
+    ],
+)
+def test_constructor_rejects_blocks_that_do_not_partition(n, blocks):
+    with pytest.raises(ValueError, match="partition"):
+        nc.NoncrossingPartition(n, blocks)
+
+
+@pytest.mark.parametrize(
+    "n, blocks",
+    [(4, [(1, 3), (2, 4)]), (5, [(1, 4), (2, 5), (3,)]), (6, [(1, 2, 5), (3, 6), (4,)])],
+)
+def test_constructor_rejects_crossing_blocks(n, blocks):
+    with pytest.raises(ValueError, match="crossing"):
+        nc.NoncrossingPartition(n, blocks)
 
 
 def test_enumeration_counts():

@@ -72,10 +72,25 @@ def test_profile_round_trip_on_minimal_words():
         assert parking.profile(parking.min_word(p)) == p
 
 
+def joint_profile(left, right):
+    """Merge two profiles by start, left biletters winning ties (the
+    reference for the merge in `parking.is_parking_biprofile`)."""
+    s, c = left
+    t, d = right
+    biletters = [(x, 0, y) for x, y in zip(s, c)] + [(x, 1, y) for x, y in zip(t, d)]
+    biletters.sort(key=lambda b: (b[0], b[1]))
+    return tuple(b[0] for b in biletters), tuple(b[2] for b in biletters)
+
+
+def is_parking_joint_profile(left, right):
+    xs, ys = joint_profile(left, right)
+    return all(x <= sum(ys[:m]) + 1 for m, x in enumerate(xs))
+
+
 def test_joint_profile_prefers_left_on_ties():
     left = ((1,), (2,))
     right = ((1, 4), (1, 1))
-    xs, ys = parking.joint_profile(left, right)
+    xs, ys = joint_profile(left, right)
     assert xs == (1, 1, 4)
     assert ys == (2, 1, 1)
 
@@ -83,6 +98,29 @@ def test_joint_profile_prefers_left_on_ties():
 def test_biprofile_counts_are_catalan():
     for n in range(7):
         assert len(parking.enumerate_parking_biprofiles(n)) == catalan(n + 1)
+
+
+def test_biprofiles_equal_the_joint_profile_filter_of_all_pairs():
+    for n in range(8):
+        candidates = [
+            (left, right)
+            for m in range(n + 1)
+            for left in parking._profiles_of_length(m, max(n, 1))
+            for right in parking._profiles_of_length(n - m, max(n, 1))
+        ]
+        want = [pair for pair in candidates if is_parking_joint_profile(*pair)]
+        assert parking.enumerate_parking_biprofiles(n) == want
+
+
+def test_biprofile_merge_worked_values():
+    # joint profile (1,1,4) with lengths (2,1,1): 4 <= 2 + 1 + 1
+    assert parking.is_parking_biprofile(((1,), (2,)), ((1, 4), (1, 1)))
+    # a right biletter after the left tuple is spent: 5 > 2 + 1 + 1
+    assert not parking.is_parking_biprofile(((1,), (2,)), ((1, 5), (1, 1)))
+    # the right profile alone must start at 1
+    assert not parking.is_parking_biprofile(((), ()), ((2,), (1,)))
+    assert not parking.is_parking_biprofile(((), ()), ((1, 3), (1, 1)))
+    assert parking.is_parking_biprofile(((), ()), ((1, 3), (2, 1)))
 
 
 def test_profile_encoding_worked_values():

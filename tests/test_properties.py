@@ -1,0 +1,98 @@
+"""Property-based tests of the noncrossing bijections and the crossing
+test, on random inputs larger than the exhaustive tests reach."""
+
+from hypothesis import given, settings, strategies as st
+
+from nclag import noncrossing as nc, parking
+
+from test_noncrossing import crosses_pairwise
+
+MODEST = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def ndpf_words(draw, max_n=14):
+    """Nondecreasing parking functions: w_i between w_(i-1) and i."""
+    n = draw(st.integers(1, max_n))
+    w = []
+    for i in range(1, n + 1):
+        w.append(draw(st.integers(w[-1] if w else 1, i)))
+    return tuple(w)
+
+
+@st.composite
+def set_partitions(draw, max_n=16):
+    """(n, blocks): a restricted growth word puts each element in an
+    earlier block or a new one."""
+    n = draw(st.integers(0, max_n))
+    blocks = []
+    for e in range(1, n + 1):
+        k = draw(st.integers(0, len(blocks)))
+        if k == len(blocks):
+            blocks.append([e])
+        else:
+            blocks[k].append(e)
+    return n, [tuple(b) for b in blocks]
+
+
+@st.composite
+def motzkin_paths(draw, max_n=16):
+    n = draw(st.integers(1, max_n))
+    path, height = [], 0
+    for left in range(n, 0, -1):
+        steps = ["H"] if height < left else []
+        if height + 1 < left:
+            steps.append("U")
+        if height > 0:
+            steps.append("D")
+        step = draw(st.sampled_from(steps))
+        height += {"U": 1, "D": -1, "H": 0}[step]
+        path.append(step)
+    return "".join(path)
+
+
+@MODEST
+@given(ndpf_words())
+def test_ndpf_round_trip(w):
+    assert parking.is_parking(w)
+    assert nc.nc_to_ndpf(nc.ndpf_to_nc(w)) == w
+
+
+@MODEST
+@given(ndpf_words())
+def test_nc_round_trip(w):
+    p = nc.ndpf_to_nc(w)
+    assert nc.ndpf_to_nc(nc.nc_to_ndpf(p)) == p
+
+
+@MODEST
+@given(ndpf_words())
+def test_kreweras_twice_is_a_rotation(w):
+    p = nc.ndpf_to_nc(w)
+    n = p.n
+    rotated = nc.NoncrossingPartition(n, [[(e - 2) % n + 1 for e in b] for b in p.blocks])
+    assert nc.kreweras(nc.kreweras(p)) == rotated
+
+
+@MODEST
+@given(motzkin_paths())
+def test_motzkin_codec_round_trip(path):
+    w = nc.path_to_word(path)
+    assert nc.is_sprime_word(w)
+    assert nc.word_to_path(w) == path
+    s = nc.sprime_to_s(w)
+    assert nc.is_s_word(s)
+    assert nc.s_to_sprime(s) == w
+
+
+@MODEST
+@given(set_partitions(), st.data())
+def test_crossing_test_equals_the_pairwise_reference(partition, data):
+    n, blocks = partition
+    crossing = crosses_pairwise(blocks)
+    assert nc.is_noncrossing(blocks) is not crossing
+    if not crossing:
+        assert nc.NoncrossingPartition(n, blocks).blocks == tuple(blocks)
+    # disjoint blocks over a ground set with gaps
+    kept = [tuple(e for e in b if data.draw(st.booleans())) for b in blocks]
+    assert nc.is_noncrossing(kept) is not crosses_pairwise(kept)

@@ -94,6 +94,16 @@ class _Element:
     def one(cls, basis):
         return cls(basis, {(): 1})
 
+    @classmethod
+    def _adopt(cls, basis, terms):
+        """An element that takes over `terms`, a fresh dict nobody else
+        holds, dropping its zero coefficients in place instead of copying."""
+        for i in [i for i, c in terms.items() if not c]:
+            del terms[i]
+        x = cls(basis)
+        x.terms = terms
+        return x
+
     def _check(self, other):
         if type(other) is not type(self) or other.basis != self.basis:
             raise BasisMismatch(

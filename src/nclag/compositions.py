@@ -126,21 +126,26 @@ def reduce_parts(parts):
 
 
 def to_text(comp) -> str:
-    """Digit string when all parts are single digits, comma list otherwise."""
+    """Digit string when all parts are single digits, comma list otherwise
+    (with a trailing comma for a single part, so "12," is (12,), not (1, 2))."""
     if not comp:
         return ""
     if all(p <= 9 for p in comp):
         return "".join(str(p) for p in comp)
-    return ",".join(str(p) for p in comp)
+    return ",".join(str(p) for p in comp) + ("," if len(comp) == 1 else "")
 
 
 def from_text(text) -> tuple:
-    """Inverse of to_text; also accepts comma lists of multi-digit parts."""
+    """Inverse of to_text; also accepts comma lists of multi-digit parts,
+    with an optional trailing comma."""
     text = text.strip()
     if not text:
         return ()
     if "," in text:
-        parts = tuple(int(p) for p in text.split(","))
+        pieces = text.split(",")
+        if len(pieces) > 1 and not pieces[-1]:
+            pieces.pop()
+        parts = tuple(int(p) for p in pieces)
     else:
         parts = tuple(int(ch) for ch in text)
     if not is_composition(parts):

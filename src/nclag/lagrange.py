@@ -6,6 +6,16 @@ degree with exact integer coefficients.  Everything else here is derived
 from it: the k-analogue series, free cumulants, the inverse series, the
 negated-alphabet expansion and the antipode on the G basis, each with the
 independent computation routes used for cross-checking.
+
+One solver serves g, its k-analogues and any X = 1 + sum_n a_n X^r(n) with
+a_n homogeneous of degree n.  It memoizes the components (X^p)_e of the
+powers and fills them through
+
+    (X^p)_e = (X^(p-1))_e + sum_{n=1}^{e} a_n (X^(r(n)+p-1))_(e-n),
+
+since X^p = X X^(p-1) = (1 + sum_n a_n X^r(n)) X^(p-1); then X_d = (X^1)_d.
+Each entry is one copy of the entry below it plus one pass over a_n times
+lower-degree entries, not a convolution of X with X^(p-1).
 """
 
 from __future__ import annotations
@@ -85,7 +95,8 @@ class GradedSeries:
 def _sum_of_products(indices, left, right, c=1, acc=None):
     """c * sum over e in indices of left(e) * right(e) on the S basis,
     accumulated in one fresh dict (or into `acc`, a fresh dict of the
-    caller's); right(e) is only computed where left(e) is nonzero."""
+    caller's, which the result then owns); right(e) is only computed where
+    left(e) is nonzero."""
     acc = {} if acc is None else acc
     for e in indices:
         x = left(e)
@@ -93,26 +104,53 @@ def _sum_of_products(indices, left, right, c=1, acc=None):
             y = right(e)
             if y.terms:
                 algebra._mul_into(acc, x.terms, y.terms, c)
-    return NSymElement("S", acc)
+    return NSymElement._adopt("S", acc)
 
 
 def _extend_solution(series, coeffs, power_rule, N):
-    # degree-d right-hand side only involves components < d of the unknown
-    for d in range(len(series.components), N + 1):
-        series.components.append(
-            _sum_of_products(
-                range(1, d + 1),
-                coeffs,
-                lambda n: series.power_component(power_rule(n), d - n),
-            )
+    """Extend a solution of X = 1 + sum_n coeffs(n) X^power_rule(n) to
+    degree N, filling `series._pw` through the recurrence
+
+        (X^p)_e = (X^(p-1))_e + sum_n coeffs(n) (X^(power_rule(n)+p-1))_(e-n)
+
+    (see the module docstring); X_d is (X^1)_d, whose (X^0)_d is 0."""
+    xs, pw = series.components, series._pw
+    one, zero = NSymElement.one("S"), NSymElement.zero("S")
+
+    def step(p, e, prev):
+        return _sum_of_products(
+            range(1, e + 1),
+            coeffs,
+            lambda n: power(power_rule(n) + p - 1, e - n),
+            acc=dict(prev),
         )
+
+    def power(p, e):
+        # the powers of degree e are filled in one loop over p, so the
+        # recursion descends only in degree: its depth is at most e
+        if e == 0:
+            return one
+        if p <= 1:
+            return xs[e] if p else zero
+        if (p, e) not in pw:
+            q = p - 1
+            while q > 1 and (q, e) not in pw:
+                q -= 1
+            for q in range(q + 1, p + 1):
+                pw[q, e] = step(q, e, power(q - 1, e).terms)
+        return pw[p, e]
+
+    # the degree-d right-hand side only involves components < d
+    for d in range(len(xs), N + 1):
+        xs.append(step(1, d, {}))
 
 
 def solve_functional_equation(coeffs, power_rule, N) -> GradedSeries:
-    """Solve X = sum_n coeffs(n) X^power_rule(n) degree by degree up to N.
+    """Solve X = 1 + sum_{n>=1} coeffs(n) X^power_rule(n) degree by degree
+    up to N.
 
-    `coeffs(n)` must be homogeneous of degree n; the constant term of the
-    solution is the unit.
+    `coeffs(n)` must be homogeneous of degree n and `power_rule(n)`
+    nonnegative.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -159,6 +197,8 @@ def gk_component(k, n) -> NSymElement:
     """Degree-n component of the k-analogue series (k=1 recovers g)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     if k == 1:
         return g_component(n)
     with _cache_lock:

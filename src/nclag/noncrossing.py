@@ -23,6 +23,8 @@ class NoncrossingPartition:
 
     def __init__(self, n, blocks):
         blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty")
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         owner = [None] * (n + 1)
         for k, b in enumerate(blocks):
@@ -180,7 +182,8 @@ def nc_to_permutation(p: NoncrossingPartition):
 
 def cycles_of(w):
     """Cycles of a one-line permutation, listed by increasing minima, each
-    starting at its minimum."""
+    starting at its minimum.  A walk that leaves 1..n or meets an element
+    already seen means `w` is not a permutation: ValueError."""
     n = len(w)
     seen = [False] * (n + 1)
     out = []
@@ -191,6 +194,8 @@ def cycles_of(w):
         seen[start] = True
         e = w[start - 1]
         while e != start:
+            if not 1 <= e <= n or seen[e]:
+                raise ValueError(f"not a permutation of 1..{n}: {list(w)}")
             cyc.append(e)
             seen[e] = True
             e = w[e - 1]

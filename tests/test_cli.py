@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from nclag import cli
+from nclag import cli, lagrange
 
 
 def run(capsys, *argv):
@@ -30,6 +30,16 @@ def test_expand_k_analogue(capsys):
     )
     assert code == 0
     assert out.strip() == "S[3] + 4*S[2,1] + 2*S[1,2] + 5*S[1,1,1]"
+
+
+def test_expand_k_analogue_at_large_k(capsys, monkeypatch):
+    # the solver's recursion descends in degree only, whatever k is
+    monkeypatch.setattr(lagrange, "_gk_series", {})
+    code, out, _ = run(
+        capsys, "expand", "--series", "gk", "--k", "400", "--degree", "10"
+    )
+    assert code == 0
+    assert out.startswith("S[10] + ")
 
 
 def test_expand_json_round_trip(capsys):
@@ -428,6 +438,8 @@ BAD_INPUTS = [
     ["expand", "--degree", "x"],
     ["expand", "--degree", "-1"],
     ["expand", "--series", "gk", "--k", "0", "--degree", "3"],
+    ["expand", "--series", "gk", "--k", "2", "--degree", "-1"],
+    ["expand", "--series", "gk", "--k", "3", "--degree", "-2"],
     ["convert", "--from", "S", "--to", "G", "--index", "abc"],
     ["convert", "--from", "S", "--to", "G", "--index", "12,0"],
     ["coproduct", "--degree", "-1", "--route", "noncrossing"],
@@ -442,6 +454,8 @@ BAD_INPUTS = [
     ["biprofiles", "--n", "-1"],
     ["kreweras", "--partition", "13|24"],
     ["kreweras", "--partition", "12|2"],
+    ["kreweras", "--partition", "12||3"],
+    ["kreweras", "--partition", "12|"],
     ["tree", "tau", "--left", "12", "--right", "12"],
     ["tree", "rebuild", "--left", "x", "--right", "1"],
     ["motzkin", "--word", "21"],

@@ -70,6 +70,10 @@ def test_text_round_trip():
     assert comps.to_text((1, 2, 1)) == "121"
     assert comps.to_text((11, 2)) == "11,2"
     assert comps.from_text(comps.to_text((11, 2))) == (11, 2)
+    # one multi-digit part keeps a comma, so it does not read back as digits
+    assert comps.to_text((12,)) == "12,"
+    assert comps.from_text("12,") == (12,)
+    assert comps.from_text("12") == (1, 2)
 
 
 def test_from_text_rejects_garbage():

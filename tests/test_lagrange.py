@@ -61,6 +61,45 @@ def test_k_analogue_three_routes_agree():
             assert a == lagrange.gk_component_via_phi(k, n)
 
 
+def test_k_analogue_iterative_route_for_k_up_to_four():
+    for k in range(1, 5):
+        for n in range(9):
+            assert lagrange.gk_component_iterative(k, n) == lagrange.gk_component(k, n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_recurrence_filled_powers_equal_the_convolution(k):
+    N = 12
+    solved = lagrange.solve_functional_equation(lagrange._s_generator, lambda m: k * m, N)
+    plain = lagrange.GradedSeries(solved.components)
+    keys = [(p, e) for p in range(2, N) for e in range(1, N + 1 - p)]
+    assert set(keys) <= set(solved._pw)
+    for p, e in keys:
+        assert solved._pw[p, e] == plain.power_component(p, e), (p, e)
+    # and the components solve X = 1 + sum_n S_n X^(kn), convolution powers only
+    for d in range(1, N + 1):
+        rhs = sum(
+            (lagrange._s_generator(n) * plain.power_component(k * n, d - n) for n in range(1, d + 1)),
+            NSymElement.zero("S"),
+        )
+        assert solved.component(d) == rhs, d
+
+
+def test_extending_in_steps_equals_one_solve():
+    stepped = lagrange.solve_functional_equation(lagrange._s_generator, lambda m: m, 12)
+    lagrange._extend_solution(stepped, lagrange._s_generator, lambda m: m, 16)
+    fresh = lagrange.solve_functional_equation(lagrange._s_generator, lambda m: m, 16)
+    assert stepped.components == fresh.components
+    assert stepped._pw == fresh._pw
+    assert fresh.components == [lagrange.g_component(d) for d in range(17)]
+
+
+def test_negative_degree_is_rejected():
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lagrange.gk_component(k, -1)
+
+
 def test_k_analogue_cubic_display():
     h3 = lagrange.gk_component(2, 3)
     assert h3.terms == {(3,): 1, (2, 1): 4, (1, 2): 2, (1, 1, 1): 5}

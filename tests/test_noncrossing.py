@@ -228,6 +228,29 @@ def test_touchard_identity():
         assert total == catalan(n + 1)
 
 
+@pytest.mark.parametrize("w", [[2, 2], [1, 3, 3], [2, 3, 2], [0, 1], [3, 1]])
+def test_cycle_walk_rejects_a_list_that_is_not_a_permutation(w):
+    with pytest.raises(ValueError, match="permutation"):
+        nc.cycles_of(w)
+    with pytest.raises(ValueError, match="permutation"):
+        nc.permutation_to_nc(w)
+
+
+def test_cycle_walk_of_a_permutation():
+    assert nc.cycles_of([3, 1, 2, 5, 4, 6]) == [[1, 3, 2], [4, 5], [6]]
+
+
+@pytest.mark.parametrize("text", ["12||3", "12|", "|1"])
+def test_empty_block_is_rejected(text):
+    with pytest.raises(ValueError, match="nonempty"):
+        nc.from_text(text)
+
+
+def test_constructor_rejects_an_empty_block():
+    with pytest.raises(ValueError, match="nonempty"):
+        nc.NoncrossingPartition(3, [(1, 2), (), (3,)])
+
+
 def test_enumeration_rejects_negative_size():
     with pytest.raises(ValueError, match="nonnegative"):
         nc.enumerate_nc(-1)

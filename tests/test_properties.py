@@ -1,9 +1,11 @@
-"""Property-based tests of the noncrossing bijections and the crossing
-test, on random inputs larger than the exhaustive tests reach."""
+"""Property-based tests of the noncrossing bijections, the crossing test,
+the composition codec and the basis conversions, on random inputs larger
+than the exhaustive tests reach."""
 
 from hypothesis import given, settings, strategies as st
 
-from nclag import noncrossing as nc, parking
+from nclag import algebra, compositions as comps, noncrossing as nc, parking
+from nclag.algebra import NSymElement
 
 from test_noncrossing import crosses_pairwise
 
@@ -96,3 +98,26 @@ def test_crossing_test_equals_the_pairwise_reference(partition, data):
     # disjoint blocks over a ground set with gaps
     kept = [tuple(e for e in b if data.draw(st.booleans())) for b in blocks]
     assert nc.is_noncrossing(kept) is not crosses_pairwise(kept)
+
+
+@st.composite
+def s_elements(draw, max_degree=6):
+    """Homogeneous elements on the S basis with a few random terms."""
+    d = draw(st.integers(0, max_degree))
+    index = st.sampled_from(comps.all_compositions(d))
+    return NSymElement("S", draw(st.dictionaries(index, st.integers(-50, 50), max_size=6)))
+
+
+@MODEST
+@given(st.lists(st.integers(1, 30), max_size=8))
+def test_composition_text_round_trip(parts):
+    comp = tuple(parts)
+    assert comps.from_text(comps.to_text(comp)) == comp
+
+
+@settings(max_examples=60, deadline=None)
+@given(s_elements(), st.sampled_from(["G", "L", "R", "F"]))
+def test_conversion_from_s_and_back(x, basis):
+    y = algebra.convert(x, basis)
+    assert y.basis == basis
+    assert algebra.convert(y, "S") == x

@@ -16,7 +16,6 @@ element once at the end.
 from __future__ import annotations
 
 import itertools
-import json
 
 from . import compositions as comps
 
@@ -71,7 +70,8 @@ def _monomial_into(acc, index, factor, c=1):
 
 
 class _Element:
-    """Shared machinery of NSym and QSym elements (immutable by convention)."""
+    """Shared machinery of NSym, QSym and tensor elements (immutable by
+    convention)."""
 
     __slots__ = ("basis", "terms")
     _bases: tuple = ()
@@ -133,9 +133,6 @@ class _Element:
     def degrees(self):
         return sorted({sum(i) for i in self.terms})
 
-    def homogeneous_component(self, d):
-        return type(self)(self.basis, {i: c for i, c in self.terms.items() if sum(i) == d})
-
     def is_homogeneous(self, d=None) -> bool:
         degs = self.degrees()
         if not degs:
@@ -190,9 +187,6 @@ class _Element:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def _revlex_key(comp):
     # reverse-lex position among compositions of the same weight
@@ -234,62 +228,45 @@ def _ribbon_product(x, y):
     return NSymElement("R", terms)
 
 
-class TensorElement:
+class TensorElement(_Element):
     """A finite combination of basis-pair tensors with integer coefficients.
 
-    Both legs are kept in a single declared basis pair; mixing bases inside
-    one tensor is rejected so pairings cannot silently go wrong.
+    The basis is the pair of leg bases and each index the pair (left,
+    right).  Both legs must be NSym bases, and all terms share the declared
+    pair; mixing bases inside one tensor is rejected so pairings cannot
+    silently go wrong.
     """
 
-    __slots__ = ("bases", "terms")
+    _bases = frozenset(itertools.product(NSYM_BASES, repeat=2))
 
     def __init__(self, bases, terms=None):
-        self.bases = tuple(bases)
-        self.terms = _clean(terms) if terms else {}
+        super().__init__(tuple(bases), terms)
 
     @classmethod
     def monomial(cls, bases, left, right, coeff=1):
         return cls(bases, {(tuple(left), tuple(right)): coeff})
 
     @classmethod
-    def zero(cls, bases):
-        return cls(bases, {})
-
-    @classmethod
     def one(cls, bases):
         return cls(bases, {((), ()): 1})
 
-    def _check(self, other):
-        if not isinstance(other, TensorElement) or other.bases != self.bases:
-            raise BasisMismatch("tensor operands must share the basis pair")
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorElement(self.bases, _add_into(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return TensorElement(self.bases, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         self._check(other)
-        if not all(b in _MULTIPLICATIVE for b in self.bases):
+        if not all(b in _MULTIPLICATIVE for b in self.basis):
             raise BasisMismatch("tensor product needs multiplicative bases on both legs")
         terms = {}
         for (i1, j1), a in self.terms.items():
             for (i2, j2), b in other.terms.items():
                 k = (i1 + i2, j1 + j2)
                 terms[k] = terms.get(k, 0) + a * b
-        return TensorElement(self.bases, terms)
+        return TensorElement(self.basis, terms)
 
     def coeff(self, left, right) -> int:
         return self.terms.get((tuple(left), tuple(right)), 0)
 
     def swap(self):
         return TensorElement(
-            (self.bases[1], self.bases[0]),
+            (self.basis[1], self.basis[0]),
             {(j, i): c for (i, j), c in self.terms.items()},
         )
 
@@ -306,17 +283,7 @@ class TensorElement:
                 for ir, cr in xr.terms.items():
                     k = (il, ir)
                     out_terms[k] = out_terms.get(k, 0) + c * cl * cr
-        return TensorElement(bases or self.bases, out_terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and other.bases == self.bases
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.bases, frozenset(self.terms.items())))
+        return TensorElement(bases or self.basis, out_terms)
 
     def _sorted_terms(self):
         return sorted(
@@ -327,7 +294,7 @@ class TensorElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bl, br = self.bases
+        bl, br = self.basis
         bits = []
         for (i, j), c in self._sorted_terms():
             li = "1" if not i else f"{bl}[{','.join(map(str, i))}]"
@@ -339,7 +306,7 @@ class TensorElement:
     def to_json_dict(self):
         return {
             "side": "tensor",
-            "basis": list(self.bases),
+            "basis": list(self.basis),
             "terms": [
                 {"index": [list(i), list(j)], "coeff": str(c)}
                 for (i, j), c in self._sorted_terms()
@@ -519,12 +486,9 @@ def coproduct(x: NSymElement) -> TensorElement:
 
 
 def antipode(x: NSymElement) -> NSymElement:
-    """The NSym antipode (anti-automorphism with S_n -> (-1)^n L_n)."""
-    xs = _nsym_to_s(x)
-    terms = {}
-    for i, c in xs.terms.items():
-        terms[comps.mirror(i)] = terms.get(comps.mirror(i), 0) + c * (-1) ** sum(i)
-    return _nsym_to_s(NSymElement("L", terms))
+    """The NSym antipode (anti-automorphism with S_n -> (-1)^n L_n): the
+    negated alphabet after reversing every S-index."""
+    return neg_alphabet(_nsym_to_s(x).map_indices(comps.mirror))
 
 
 def counit(x: NSymElement) -> int:

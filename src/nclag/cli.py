@@ -341,6 +341,7 @@ def cmd_incidence(args):
         }
         text = " ".join(str(v) for v in vals)
     elif args.action == "multichains":
+        lagrange._check_bound(args.n)
         c = incidence.multichain_count(args.n, args.k)
         payload = {"n": args.n, "k": args.k, "count": c}
         text = str(c)

@@ -18,10 +18,6 @@ def weight(comp) -> int:
     return sum(comp)
 
 
-def length(comp) -> int:
-    return len(comp)
-
-
 def all_compositions(n):
     """All compositions of n in reverse lexicographic order.
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import lagrange, noncrossing, parking
-from .algebra import TensorElement, coproduct as s_coproduct
+from .algebra import NSymElement, TensorElement, coproduct as s_coproduct
 
 
 def delta_g_algebraic(n) -> TensorElement:
@@ -113,37 +113,31 @@ def biprofile_regrouping_check(n) -> bool:
 # edge counts)
 
 # monomials are pairs (sorted u-subscripts, sorted v-subscripts), both
-# weakly decreasing tuples of positive integers; coefficients are ints
+# weakly decreasing tuples of positive integers; coefficients count trees,
+# so sums accumulate in place with no zero to drop
 
 
-def _poly_mul(a, b):
-    out = {}
+def _poly_mul_into(acc, a, b):
+    """acc += a * b, in place."""
     for (ua, va), ca in a.items():
         for (ub, vb), cb in b.items():
             key = (
                 tuple(sorted(ua + ub, reverse=True)),
                 tuple(sorted(va + vb, reverse=True)),
             )
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+            acc[key] = acc.get(key, 0) + ca * cb
+    return acc
 
 
-def _poly_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _poly_scale_marker(poly, side, m):
-    out = {}
+def _poly_scale_marker_into(acc, poly, side, m):
+    """acc += poly times the marker of subscript m on one side, in place."""
     for (u, v), c in poly.items():
         if side == "u":
             key = (tuple(sorted(u + (m,), reverse=True)), v)
         else:
             key = (u, tuple(sorted(v + (m,), reverse=True)))
-        out[key] = out.get(key, 0) + c
-    return out
+        acc[key] = acc.get(key, 0) + c
+    return acc
 
 
 def tree_series(N):
@@ -162,27 +156,22 @@ def tree_series(N):
         for e in range(d + 1):
             if e >= len(series):
                 continue
-            sub = power_component(series, p - 1, d - e)
-            out = _poly_add(out, _poly_mul(series[e], sub))
+            _poly_mul_into(out, series[e], power_component(series, p - 1, d - e))
         return out
 
     for d in range(1, N + 1):
         ud = {}
         vd = {}
         for m in range(1, d + 1):
-            ud = _poly_add(
-                ud, _poly_scale_marker(power_component(V, m, d - m), "u", m)
-            )
-            vd = _poly_add(
-                vd, _poly_scale_marker(power_component(U, m, d - m), "v", m)
-            )
+            _poly_scale_marker_into(ud, power_component(V, m, d - m), "u", m)
+            _poly_scale_marker_into(vd, power_component(U, m, d - m), "v", m)
         U.append(ud)
         V.append(vd)
     W = []
     for d in range(N + 1):
         wd = {}
         for e in range(d + 1):
-            wd = _poly_add(wd, _poly_mul(U[e], V[d - e]))
+            _poly_mul_into(wd, U[e], V[d - e])
         W.append(wd)
     return W
 
@@ -231,18 +220,12 @@ def coassociativity_check(n) -> bool:
     left = {}
     right = {}
     for (i, j), c in t.terms.items():
-        for (a, b), d in s_coproduct(_s_monomial(i)).terms.items():
+        for (a, b), d in s_coproduct(NSymElement.monomial("S", i)).terms.items():
             key = (a, b, j)
             left[key] = left.get(key, 0) + c * d
-        for (a, b), d in s_coproduct(_s_monomial(j)).terms.items():
+        for (a, b), d in s_coproduct(NSymElement.monomial("S", j)).terms.items():
             key = (i, a, b)
             right[key] = right.get(key, 0) + c * d
     left = {k: v for k, v in left.items() if v}
     right = {k: v for k, v in right.items() if v}
     return left == right
-
-
-def _s_monomial(index):
-    from .algebra import NSymElement
-
-    return NSymElement.monomial("S", index)

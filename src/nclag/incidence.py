@@ -77,12 +77,17 @@ def convolve(phi, psi) -> MultiplicativeFunction:
 
 
 def power(phi, k) -> MultiplicativeFunction:
-    """The k-th convolution power of phi; the 0th is the identity."""
+    """The k-th convolution power of phi, by repeated squaring; the 0th is
+    the identity."""
     if k < 0:
         raise ValueError("power must be nonnegative")
     out = identity_character(phi.max_degree)
-    for _ in range(k):
-        out = convolve(out, phi)
+    while k:
+        if k & 1:
+            out = convolve(out, phi)
+        k >>= 1
+        if k:
+            phi = convolve(phi, phi)
     return out
 
 
@@ -90,24 +95,28 @@ def zeta_power(k, N) -> MultiplicativeFunction:
     return power(zeta(N), k)
 
 
+def _powers(a):
+    """power(p, d), the memoized degree-d coefficient of the p-th power of
+    sum_d a[d] t^d; `a` may grow between calls but must cover degree d."""
+
+    @lru_cache(maxsize=None)
+    def power(p, d):
+        if p == 0:
+            return Fraction(1) if d == 0 else Fraction(0)
+        return sum(
+            (a[e] * power(p - 1, d - e) for e in range(d + 1)),
+            Fraction(0),
+        )
+
+    return power
+
+
 def g_values(phi):
     """Values on the Lagrange generators, solving the scalar functional
     equation degree by degree."""
     N = phi.max_degree
     a = [Fraction(1)]
-    powers = {}
-
-    def power(p, d):
-        if p == 0:
-            return Fraction(1) if d == 0 else Fraction(0)
-        key = (p, d)
-        if key not in powers:
-            powers[key] = sum(
-                (a[e] * power(p - 1, d - e) for e in range(d + 1)),
-                Fraction(0),
-            )
-        return powers[key]
-
+    power = _powers(a)
     for d in range(1, N + 1):
         a.append(
             sum(
@@ -124,19 +133,7 @@ def from_g_values(a) -> MultiplicativeFunction:
     if not a or a[0] != 1:
         raise ValueError("generator values must start with 1")
     N = len(a) - 1
-    powers = {}
-
-    def power(p, d):
-        if p == 0:
-            return Fraction(1) if d == 0 else Fraction(0)
-        key = (p, d)
-        if key not in powers:
-            powers[key] = sum(
-                (a[e] * power(p - 1, d - e) for e in range(d + 1)),
-                Fraction(0),
-            )
-        return powers[key]
-
+    power = _powers(a)
     hat = [Fraction(1)]
     for d in range(1, N + 1):
         rest = sum(
@@ -303,9 +300,5 @@ class NCLattice:
 
 
 @lru_cache(maxsize=None)
-def _lattice(n):
-    return NCLattice(n)
-
-
 def lattice_oracle(n) -> NCLattice:
-    return _lattice(n)
+    return NCLattice(n)

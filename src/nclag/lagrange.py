@@ -26,7 +26,7 @@ from collections import Counter
 from functools import lru_cache
 
 from . import algebra, compositions as comps, parking
-from .algebra import NSymElement
+from .algebra import NSymElement, QSymElement
 
 
 def max_degree() -> int:
@@ -171,14 +171,24 @@ _g_series = GradedSeries([NSymElement.one("S")])
 _gk_series = {}
 
 
-def g_component(n) -> NSymElement:
-    """Degree-n component of g on the S basis."""
+def _shared_component(k, n):
+    """Degree-n component of the shared k-analogue series (k = 1 is g),
+    extended under the lock when it is too short."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     with _cache_lock:
-        if n > _g_series.max_degree:
-            _extend_solution(_g_series, _s_generator, lambda m: m, n)
-        return _g_series.components[n]
+        if k == 1:
+            series = _g_series
+        else:
+            series = _gk_series.setdefault(k, GradedSeries([NSymElement.one("S")]))
+        if n > series.max_degree:
+            _extend_solution(series, _s_generator, lambda m: k * m, n)
+        return series.components[n]
+
+
+def g_component(n) -> NSymElement:
+    """Degree-n component of g on the S basis."""
+    return _shared_component(1, n)
 
 
 def g_table(N) -> GradedSeries:
@@ -197,15 +207,9 @@ def gk_component(k, n) -> NSymElement:
     """Degree-n component of the k-analogue series (k=1 recovers g)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     if k == 1:
         return g_component(n)
-    with _cache_lock:
-        series = _gk_series.setdefault(k, GradedSeries([NSymElement.one("S")]))
-        if n > series.max_degree:
-            _extend_solution(series, _s_generator, lambda m: k * m, n)
-        return series.components[n]
+    return _shared_component(k, n)
 
 
 def gk_component_iterative(k, n) -> NSymElement:
@@ -386,36 +390,30 @@ def s_to_g_via_recipe(n) -> NSymElement:
 # M <-> C transitions (duality with the G basis)
 
 
-@lru_cache(maxsize=None)
-def m_monomial_on_c(index):
-    """M_I on the dual-of-G basis: coefficients read off the g-on-S table."""
-    from .algebra import QSymElement
-
+def _transposed_column(table, index, basis):
+    """The dual basis element of `index`: its coefficient at each j of the
+    same weight is the coefficient of `index` in table(j)."""
     index = tuple(index)
     _check_bound(sum(index))
     n = sum(index)
     terms = {}
     for j in comps.all_compositions(n):
-        c = g_monomial_on_s(j).coeff(index)
+        c = table(j).coeff(index)
         if c:
             terms[j] = c
-    return QSymElement("C", terms)
+    return QSymElement(basis, terms)
+
+
+@lru_cache(maxsize=None)
+def m_monomial_on_c(index):
+    """M_I on the dual-of-G basis: coefficients read off the g-on-S table."""
+    return _transposed_column(g_monomial_on_s, index, "C")
 
 
 @lru_cache(maxsize=None)
 def c_monomial_on_m(index):
     """A dual-of-G monomial on the M basis, via the S-on-G table."""
-    from .algebra import QSymElement
-
-    index = tuple(index)
-    _check_bound(sum(index))
-    n = sum(index)
-    terms = {}
-    for i in comps.all_compositions(n):
-        c = s_monomial_on_g(i).coeff(index)
-        if c:
-            terms[i] = c
-    return QSymElement("M", terms)
+    return _transposed_column(s_monomial_on_g, index, "M")
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +426,17 @@ def g_neg(n) -> NSymElement:
     return algebra.convert(algebra.neg_alphabet(g_component(n)), "G")
 
 
+def _coarsening_count(comp):
+    """Nondecreasing parking functions whose type coarsens `comp`."""
+    return sum(parking.ndpf_count_of_type(j) for j in comps.coarsenings(comp))
+
+
 def g_neg_via_pairing(n) -> NSymElement:
     """Coefficient route: up to sign, the coefficient of a G-monomial is the
     doubled-index essential pairing with the degree-2n component of g."""
     terms = {}
     for i in comps.all_compositions(n):
-        a = sum(
-            parking.ndpf_count_of_type(j)
-            for j in comps.coarsenings(comps.double(i))
-        )
+        a = _coarsening_count(comps.double(i))
         terms[i] = (-1) ** len(i) * a
     return NSymElement("G", terms)
 
@@ -458,10 +458,7 @@ def g_neg_via_doubling(n) -> NSymElement:
 
 def doubled_pairing_identity_check(i_comp) -> bool:
     """Mechanical check that the two unsigned coefficient formulas agree."""
-    lhs = sum(
-        parking.ndpf_count_of_type(j)
-        for j in comps.coarsenings(comps.double(i_comp))
-    )
+    lhs = _coarsening_count(comps.double(i_comp))
     rhs = parking.ndpf_count_of_type(tuple(2 * p + 1 for p in i_comp))
     return lhs == rhs
 
@@ -519,10 +516,7 @@ def v_pairing(i_comp, j_comp) -> int:
         blocks.append(tuple(block))
     value = 1
     for block, m in zip(blocks, j_comp):
-        e = sum(
-            parking.ndpf_count_of_type(j) for j in comps.coarsenings(block)
-        )
-        value *= (-1) ** (m - len(block)) * e
+        value *= (-1) ** (m - len(block)) * _coarsening_count(block)
     return value
 
 

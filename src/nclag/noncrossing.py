@@ -45,12 +45,6 @@ class NoncrossingPartition:
     def reduced_ordered_type(self):
         return tuple(len(b) - 1 for b in self.blocks if len(b) > 1)
 
-    def block_of(self, e):
-        for b in self.blocks:
-            if e in b:
-                return b
-        raise ValueError(f"{e} not in ground set")
-
     def __eq__(self, other):
         return (
             isinstance(other, NoncrossingPartition)

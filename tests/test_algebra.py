@@ -151,6 +151,16 @@ def test_json_round_trip():
     assert element_from_json_dict(t.to_json_dict()) == t
 
 
+def test_tensor_basis_pair_must_be_two_nsym_bases():
+    with pytest.raises(BasisMismatch):
+        TensorElement(("X", "Y"), {((1,), (2,)): 1})
+    data = {"side": "tensor", "basis": ["X", "Y"], "terms": [{"index": [[1], [2]], "coeff": "1"}]}
+    with pytest.raises(BasisMismatch):
+        element_from_json_dict(data)
+    with pytest.raises(BasisMismatch):
+        TensorElement.one(("G", "G")) + TensorElement.one(("S", "S"))
+
+
 def test_tensor_swap_and_product():
     t = TensorElement.monomial(("S", "S"), (1,), (2,))
     assert t.swap() == TensorElement.monomial(("S", "S"), (2,), (1,))

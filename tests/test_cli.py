@@ -309,6 +309,7 @@ def test_incidence_values_at_degree_zero_is_one_value(capsys, function):
         ["expand", "--series", "antipode", "--degree", "11"],
         ["expand", "--series", "cumulant", "--degree", "30"],
         ["incidence", "values", "--degree", "100000"],
+        ["incidence", "multichains", "--n", "11", "--k", "2"],
     ],
     ids="-".join,
 )
@@ -335,6 +336,7 @@ def test_listing_sizes_are_bounded_up_front(capsys, monkeypatch, argv):
         (["expand", "--series", "antipode", "--degree", "4"], 4),
         (["expand", "--series", "cumulant", "--degree", "4"], 4),
         (["incidence", "values", "--degree", "4"], 4),
+        (["incidence", "multichains", "--n", "4", "--k", "2"], 4),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
 )

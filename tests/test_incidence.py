@@ -47,6 +47,22 @@ def test_convolution_powers(base):
         inc.power(phi, -1)
 
 
+@pytest.mark.parametrize("base", [inc.zeta, inc.mobius, inc.identity_character])
+def test_power_by_squaring_equals_the_k_fold_product(base):
+    phi = base(6)
+    loop = inc.identity_character(6)
+    for k in range(13):
+        assert inc.power(phi, k) == loop
+        loop = inc.convolve(loop, phi)
+
+
+def test_a_large_power_is_exact():
+    # the hat series of zeta is 1 + t, so its k-th power is binomial; k
+    # convolutions one at a time would take about a minute
+    k = 10**6
+    assert inc.power(inc.zeta(6), k).hat == [math.comb(k, n) for n in range(7)]
+
+
 def test_zeta_power_is_the_power_of_zeta():
     for k in range(5):
         assert inc.zeta_power(k, 6) == inc.power(inc.zeta(6), k)

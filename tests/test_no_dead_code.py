@@ -1,0 +1,47 @@
+"""Tripwire: every public function and method of the package is named
+somewhere besides its own ``def``, in the package, its tests or the
+benchmark harness.  Names are read as code tokens, so a word in a comment
+or docstring does not count, but a string that is exactly the name does
+(the benchmark tracer patches functions by name).  ``cmd_*`` handlers are
+exempt because ``cli.main`` dispatches them by name, and dunders because
+Python calls them."""
+
+import ast
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nclag"
+SEARCHED = [PACKAGE, ROOT / "tests", ROOT / "perfbench"]
+
+
+def _mentions():
+    """How often each identifier occurs as a name or a string literal."""
+    count = Counter()
+    for root in SEARCHED:
+        for path in root.rglob("*.py"):
+            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+                if tok.type == tokenize.NAME:
+                    count[tok.string] += 1
+                elif tok.type == tokenize.STRING and "f" not in tok.string[:2].lower():
+                    value = ast.literal_eval(tok.string)
+                    if isinstance(value, str) and value.isidentifier():
+                        count[value] += 1
+    return count
+
+
+def _public_defs():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith(("_", "cmd_")):
+                yield f"{path.relative_to(ROOT)}:{node.lineno}", node.name
+
+
+def test_every_public_function_is_named_besides_its_def():
+    defs = list(_public_defs())
+    def_count = Counter(name for _, name in defs)
+    mentions = _mentions()
+    dead = [f"{where} {name}" for where, name in defs if mentions[name] <= def_count[name]]
+    assert not dead, "named nowhere but their def: " + ", ".join(dead)

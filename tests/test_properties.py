@@ -1,11 +1,15 @@
 """Property-based tests of the noncrossing bijections, the crossing test,
-the composition codec and the basis conversions, on random inputs larger
-than the exhaustive tests reach."""
+the composition codec, the basis conversions, the antipode, the scalar
+functional equation and tensors, on random inputs larger than the
+exhaustive tests reach."""
+
+import json
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from nclag import algebra, compositions as comps, noncrossing as nc, parking
-from nclag.algebra import NSymElement
+from nclag import algebra, compositions as comps, incidence as inc, noncrossing as nc, parking
+from nclag.algebra import NSymElement, QSymElement, TensorElement
 
 from test_noncrossing import crosses_pairwise
 
@@ -121,3 +125,71 @@ def test_conversion_from_s_and_back(x, basis):
     y = algebra.convert(x, basis)
     assert y.basis == basis
     assert algebra.convert(y, "S") == x
+
+
+@st.composite
+def m_elements(draw, max_degree=5):
+    """Homogeneous elements on the M basis with a few random terms."""
+    d = draw(st.integers(0, max_degree))
+    index = st.sampled_from(comps.all_compositions(d))
+    return QSymElement("M", draw(st.dictionaries(index, st.integers(-50, 50), max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_elements(), st.sampled_from(["E", "V", "C"]))
+def test_conversion_from_m_and_back(x, basis):
+    y = algebra.qsym_convert(x, basis)
+    assert y.basis == basis
+    assert algebra.qsym_convert(y, "M") == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(s_elements(max_degree=4), s_elements(max_degree=4))
+def test_antipode_reverses_products(x, y):
+    # an involution check cannot tell the antipode from neg_alphabet
+    assert algebra.antipode(x * y) == algebra.antipode(y) * algebra.antipode(x)
+
+
+def _truncated_power(a, p, N):
+    """Coefficients 0..N of (sum_d a[d] t^d)^p by plain convolution."""
+    out = [Fraction(1)] + [Fraction(0)] * N
+    for _ in range(p):
+        out = [sum(out[k] * a[d - k] for k in range(d + 1)) for d in range(N + 1)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=6))
+def test_generator_values_solve_the_functional_equation(tail):
+    phi = inc.MultiplicativeFunction([1] + tail)
+    a = inc.g_values(phi)
+    N = phi.max_degree
+    # Phi = 1 + sum_n hat_n t^n Phi^n, degree by degree
+    rhs = [Fraction(1)] + [Fraction(0)] * N
+    for n in range(1, N + 1):
+        power = _truncated_power(a, n, N)
+        for d in range(n, N + 1):
+            rhs[d] += phi.hat[n] * power[d - n]
+    assert a == rhs
+    assert inc.from_g_values(a) == phi
+
+
+@st.composite
+def tensors(draw, basis="S", max_degree=3):
+    """Tensors on a multiplicative basis pair with a few random terms."""
+    legs = st.integers(0, max_degree).flatmap(lambda d: st.sampled_from(comps.all_compositions(d)))
+    terms = draw(st.dictionaries(st.tuples(legs, legs), st.integers(-9, 9), max_size=4))
+    return TensorElement((basis, basis), terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(), tensors(), tensors())
+def test_tensor_product_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["S", "G", "R"]).flatmap(tensors))
+def test_tensor_swap_and_json_round_trips(t):
+    assert t.swap().swap() == t
+    assert algebra.element_from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t

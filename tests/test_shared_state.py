@@ -7,7 +7,14 @@ from nclag import algebra, compositions as comps, hopf, lagrange
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
 N = 6
-CACHED = (lagrange.g_monomial_on_s, lagrange.s_monomial_on_g, lagrange.s_generator_on_g)
+QSYM_N = 4
+CACHED = (
+    lagrange.g_monomial_on_s,
+    lagrange.s_monomial_on_g,
+    lagrange.s_generator_on_g,
+    lagrange.m_monomial_on_c,
+    lagrange.c_monomial_on_m,
+)
 
 
 def _fill_caches():
@@ -16,6 +23,10 @@ def _fill_caches():
         for i in comps.all_compositions(d):
             lagrange.g_monomial_on_s(i)
             lagrange.s_monomial_on_g(i)
+    for d in range(QSYM_N + 1):
+        for i in comps.all_compositions(d):
+            lagrange.m_monomial_on_c(i)
+            lagrange.c_monomial_on_m(i)
     lagrange.gk_component(2, N)
 
 
@@ -27,6 +38,9 @@ def _cached_elements():
         out.append(lagrange.s_generator_on_g(d))
         for i in comps.all_compositions(d):
             out += [lagrange.g_monomial_on_s(i), lagrange.s_monomial_on_g(i)]
+    for d in range(QSYM_N + 1):
+        for i in comps.all_compositions(d):
+            out += [lagrange.m_monomial_on_c(i), lagrange.c_monomial_on_m(i)]
     return out
 
 
@@ -37,7 +51,7 @@ def _run_readers():
             y = algebra.convert(g, b)
             assert algebra.convert(y, "S") == g
             assert algebra.convert(algebra.convert(y, "G"), b) == y
-    for i in comps.all_compositions(4):
+    for i in comps.all_compositions(QSYM_N):
         for b in ("M", "E", "V", "C"):
             x = QSymElement.monomial(b, i)
             assert algebra.qsym_convert(algebra.qsym_convert(x, "C"), b) == x
@@ -86,7 +100,7 @@ def test_sums_and_products_never_share_an_operands_terms():
     ]
     for a, b in pairs:
         before = dict(a.terms), dict(b.terms)
-        for r in (a + b, a - b, a * b):
+        for r in (a + b, a - b, a * b, -a):
             assert r.terms is not a.terms and r.terms is not b.terms
         assert (a.terms, b.terms) == before
     q = QSymElement.monomial("C", (2, 1))

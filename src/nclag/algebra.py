@@ -5,8 +5,9 @@ NSym side: S (complete), L (elementary), R (ribbon), G (Lagrange), F
 (essential), V (signed essential, dual to L), C (dual to G).  All
 coefficients are Python ints, so arbitrary precision comes for free.
 
-Conversions route through S (NSym) and M (QSym); the S<->G and M<->C
-transitions are backed by the cached tables of the `lagrange` module.
+Conversions walk two basis trees, one edge at a time: S with children L,
+R and G, and F below G; M with children E, V and C.  The S<->G and M<->C
+edges are backed by the cached tables of the `lagrange` module.
 
 A sum of many terms accumulates into a fresh dict (`_add_into`,
 `_mul_into`), never into a cached element's terms, and is wrapped in an
@@ -130,8 +131,12 @@ class _Element:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @staticmethod
+    def _weight(index):
+        return sum(index)
+
     def degrees(self):
-        return sorted({sum(i) for i in self.terms})
+        return sorted({self._weight(i) for i in self.terms})
 
     def is_homogeneous(self, d=None) -> bool:
         degs = self.degrees()
@@ -285,10 +290,15 @@ class TensorElement(_Element):
                     out_terms[k] = out_terms.get(k, 0) + c * cl * cr
         return TensorElement(bases or self.basis, out_terms)
 
+    @staticmethod
+    def _weight(index):
+        """The total weight of both legs."""
+        return sum(index[0]) + sum(index[1])
+
     def _sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda t: (sum(t[0][0]) + sum(t[0][1]), _revlex_key(t[0][0]), _revlex_key(t[0][1])),
+            key=lambda t: (self._weight(t[0]), _revlex_key(t[0][0]), _revlex_key(t[0][1])),
         )
 
     def __repr__(self):
@@ -315,7 +325,18 @@ class TensorElement(_Element):
 
 
 # ---------------------------------------------------------------------------
-# NSym basis conversions
+# Basis conversions: two trees, one walk
+
+# NSym: S is the root, with children L, R and G, and F below G.
+# QSym: M is the root, with children E, V and C.
+_PARENT = {"L": "S", "R": "S", "G": "S", "F": "G", "E": "M", "V": "M", "C": "M"}
+
+
+def _lagrange():
+    """The `lagrange` module, which imports this one, looked up on use."""
+    from . import lagrange
+
+    return lagrange
 
 
 def _generator_sign_terms(n):
@@ -323,141 +344,91 @@ def _generator_sign_terms(n):
     return {i: (-1) ** (n - len(i)) for i in comps.all_compositions(n)}
 
 
-def _nsym_to_s(x):
-    if x.basis == "S":
+def _monomials_of(factor):
+    """The edge map of a change of multiplicative basis, X^I = factor(i_1)
+    ... factor(i_r)."""
+    return lambda acc, i, c: _monomial_into(acc, i, factor, c)
+
+
+def _spread(related, sign=lambda i, j: 1):
+    """The edge map X_I = sum over J in related(I) of sign(I, J) Y_J."""
+
+    def into(acc, i, c):
+        for j in related(i):
+            acc[j] = acc.get(j, 0) + c * sign(i, j)
+
+    return into
+
+
+def _length_sign(i, j):
+    # (-1)^(l(I)-l(J)) with a nonnegative exponent, so that it stays an int
+    # when J refines I
+    return (-1) ** ((len(i) - len(j)) % 2)
+
+
+def _table(name):
+    """The edge map reading X_I off the cached expansion lagrange.<name>(I)."""
+    return lambda acc, i, c: _add_into(acc, getattr(_lagrange(), name)(i).terms, c)
+
+
+# (from, to) -> into(acc, index, c): acc += c * (the `from` monomial of
+# `index`, expanded on `to`), in place
+_EDGES = {
+    ("L", "S"): _monomials_of(_generator_sign_terms),
+    ("S", "L"): _monomials_of(_generator_sign_terms),
+    ("R", "S"): _spread(comps.coarsenings, _length_sign),
+    # S^I = sum of R_J over J coarser than I
+    ("S", "R"): _spread(comps.coarsenings),
+    ("G", "S"): _table("g_monomial_on_s"),
+    ("S", "G"): _monomials_of(lambda p: _lagrange().s_generator_on_g(p).terms),
+    ("F", "G"): _spread(comps.refinements, _length_sign),
+    ("G", "F"): _spread(comps.refinements),
+    ("E", "M"): _spread(comps.coarsenings),
+    ("V", "M"): _spread(comps.coarsenings, lambda i, j: (-1) ** (sum(i) - len(i))),
+    # M_I = sum over J coarser than I of (-1)^(l(I)-l(J)) E_J
+    ("M", "E"): _spread(comps.coarsenings, _length_sign),
+    ("M", "V"): _spread(
+        comps.coarsenings, lambda i, j: _length_sign(i, j) * (-1) ** (sum(j) - len(j))
+    ),
+    ("C", "M"): _table("c_monomial_on_m"),
+    ("M", "C"): _table("m_monomial_on_c"),
+}
+
+
+def _path_to_root(basis):
+    path = [basis]
+    while path[-1] in _PARENT:
+        path.append(_PARENT[path[-1]])
+    return path
+
+
+def convert(x, target):
+    """Re-express an NSym or QSym element in another basis of its side
+    (exact, round-trippable): up the basis tree from x.basis to the lowest
+    common ancestor, then down to `target`, one pass over the terms per
+    edge."""
+    up, down = _path_to_root(x.basis), _path_to_root(target)
+    if up[-1] != down[-1]:
+        raise BasisMismatch(f"no conversion from {x.basis!r} to {target!r}")
+    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+        up.pop()
+        down.pop()
+    # up ends at the lowest common ancestor; walk down without repeating it
+    route = up + down[:-1][::-1]
+    if len(route) == 1:
         return x
-    if x.basis == "L":
-        acc = {}
-        for i, c in x.terms.items():
-            _monomial_into(acc, i, _generator_sign_terms, c)
-        return NSymElement("S", acc)
-    if x.basis == "R":
-        terms = {}
-        for i, c in x.terms.items():
-            for j in comps.coarsenings(i):
-                terms[j] = terms.get(j, 0) + c * (-1) ** (len(i) - len(j))
-        return NSymElement("S", terms)
-    if x.basis == "G":
-        from . import lagrange
-
-        acc = {}
-        for i, c in x.terms.items():
-            _add_into(acc, lagrange.g_monomial_on_s(i).terms, c)
-        return NSymElement("S", acc)
-    if x.basis == "F":
-        return _nsym_to_s(_f_to_g(x))
-    raise BasisMismatch(x.basis)
+    terms = x.terms
+    for edge in zip(route, route[1:]):
+        into, acc = _EDGES[edge], {}
+        for i, c in terms.items():
+            if c:
+                into(acc, i, c)
+        terms = acc
+    return type(x)._adopt(target, terms)
 
 
-def _f_to_g(x):
-    terms = {}
-    for i, c in x.terms.items():
-        for j in comps.refinements(i):
-            terms[j] = terms.get(j, 0) + c * (-1) ** (len(j) - len(i))
-    return NSymElement("G", terms)
-
-
-def _g_to_f(x):
-    terms = {}
-    for i, c in x.terms.items():
-        for j in comps.refinements(i):
-            terms[j] = terms.get(j, 0) + c
-    return NSymElement("F", terms)
-
-
-def _s_to_target(x, target):
-    if target == "S":
-        return x
-    if target == "L":
-        acc = {}
-        for i, c in x.terms.items():
-            _monomial_into(acc, i, _generator_sign_terms, c)
-        return NSymElement("L", acc)
-    if target == "R":
-        # S^I = sum of R_J over J coarser than I
-        terms = {}
-        for i, c in x.terms.items():
-            for j in comps.coarsenings(i):
-                terms[j] = terms.get(j, 0) + c
-        return NSymElement("R", terms)
-    if target == "G":
-        from . import lagrange
-
-        def factor(p):
-            return lagrange.s_generator_on_g(p).terms
-
-        acc = {}
-        for i, c in x.terms.items():
-            _monomial_into(acc, i, factor, c)
-        return NSymElement("G", acc)
-    if target == "F":
-        return _g_to_f(_s_to_target(x, "G"))
-    raise BasisMismatch(target)
-
-
-def convert(x: NSymElement, target: str) -> NSymElement:
-    """Re-express an NSym element in another basis (exact, round-trippable)."""
-    if x.basis == target:
-        return x
-    if x.basis == "G" and target == "F":
-        return _g_to_f(x)
-    if x.basis == "F" and target == "G":
-        return _f_to_g(x)
-    return _s_to_target(_nsym_to_s(x), target)
-
-
-# ---------------------------------------------------------------------------
-# QSym basis conversions
-
-
-def _qsym_to_m(x):
-    if x.basis == "M":
-        return x
-    terms = {}
-    if x.basis in ("E", "V"):
-        for i, c in x.terms.items():
-            if x.basis == "V":
-                c = c * (-1) ** (sum(i) - len(i))
-            for j in comps.coarsenings(i):
-                terms[j] = terms.get(j, 0) + c
-        return QSymElement("M", terms)
-    if x.basis == "C":
-        from . import lagrange
-
-        acc = {}
-        for i, c in x.terms.items():
-            _add_into(acc, lagrange.c_monomial_on_m(i).terms, c)
-        return QSymElement("M", acc)
-    raise BasisMismatch(x.basis)
-
-
-def _m_to_target(x, target):
-    if target == "M":
-        return x
-    if target in ("E", "V"):
-        # M_I = sum over J coarser than I of (-1)^(l(I)-l(J)) E_J
-        terms = {}
-        for i, c in x.terms.items():
-            for j in comps.coarsenings(i):
-                v = c * (-1) ** (len(i) - len(j))
-                if target == "V":
-                    v = v * (-1) ** (sum(j) - len(j))
-                terms[j] = terms.get(j, 0) + v
-        return QSymElement(target, terms)
-    if target == "C":
-        from . import lagrange
-
-        acc = {}
-        for i, c in x.terms.items():
-            _add_into(acc, lagrange.m_monomial_on_c(i).terms, c)
-        return QSymElement("C", acc)
-    raise BasisMismatch(target)
-
-
-def qsym_convert(x: QSymElement, target: str) -> QSymElement:
-    if x.basis == target:
-        return x
-    return _m_to_target(_qsym_to_m(x), target)
+# the QSym name of the same walk
+qsym_convert = convert
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +437,15 @@ def qsym_convert(x: QSymElement, target: str) -> QSymElement:
 
 def pair(q: QSymElement, f: NSymElement) -> int:
     """The duality pairing, normalized by <M_I, S^J> = delta_IJ."""
-    qm = _qsym_to_m(q)
-    fs = _nsym_to_s(f)
-    return sum(c * fs.terms.get(i, 0) for i, c in qm.terms.items())
+    fs = convert(f, "S")
+    return sum(c * fs.terms.get(i, 0) for i, c in convert(q, "M").terms.items())
 
 
 def coproduct(x: NSymElement) -> TensorElement:
     """Coproduct into S(x)S, from Delta S_n = sum_{i+j=n} S_i (x) S_j."""
     # S^I splits into one S_a (x) S_(p-a) per part p; zero parts drop out
     acc = {}
-    for i, c in _nsym_to_s(x).terms.items():
+    for i, c in convert(x, "S").terms.items():
         for split in itertools.product(*(range(p + 1) for p in i)):
             k = (
                 tuple(a for a in split if a),
@@ -488,18 +458,17 @@ def coproduct(x: NSymElement) -> TensorElement:
 def antipode(x: NSymElement) -> NSymElement:
     """The NSym antipode (anti-automorphism with S_n -> (-1)^n L_n): the
     negated alphabet after reversing every S-index."""
-    return neg_alphabet(_nsym_to_s(x).map_indices(comps.mirror))
+    return neg_alphabet(convert(x, "S").map_indices(comps.mirror))
 
 
 def counit(x: NSymElement) -> int:
-    return _nsym_to_s(x).terms.get((), 0)
+    return convert(x, "S").terms.get((), 0)
 
 
 def neg_alphabet(x: NSymElement) -> NSymElement:
     """The algebra automorphism A -> -A, i.e. S_n -> (-1)^n L_n."""
-    xs = _nsym_to_s(x)
-    terms = {i: c * (-1) ** sum(i) for i, c in xs.terms.items()}
-    return _nsym_to_s(NSymElement("L", terms))
+    terms = {i: c * (-1) ** sum(i) for i, c in convert(x, "S").terms.items()}
+    return convert(NSymElement("L", terms), "S")
 
 
 def tilde(x: NSymElement) -> NSymElement:
@@ -545,14 +514,12 @@ def mirror_invariance_check(n: int, reading: str = "conjugate") -> bool:
     mechanically here); `reading` also accepts "mirror" and
     "mirror_conjugate" so the other candidate interpretations can be probed.
     """
-    from . import lagrange
-
     fn = {
         "mirror": comps.mirror,
         "conjugate": comps.conjugate,
         "mirror_conjugate": comps.mirror_conjugate,
     }[reading]
-    gn = lagrange.g_component(n)
+    gn = _lagrange().g_component(n)
     return gn == gn.map_indices(fn)
 
 

@@ -51,10 +51,6 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _element_payload(x):
-    return x.to_json_dict()
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -76,14 +72,14 @@ def cmd_expand(args):
     else:
         raise AssertionError(args.series)
     x = algebra.convert(x, args.basis)
-    _emit(args, _element_payload(x), repr(x))
+    _emit(args, x.to_json_dict(), repr(x))
     return 0
 
 
 def cmd_convert(args):
     x = algebra.NSymElement.monomial(args.basis_from, args.index)
     y = algebra.convert(x, args.basis_to)
-    _emit(args, _element_payload(y), repr(y))
+    _emit(args, y.to_json_dict(), repr(y))
     return 0
 
 
@@ -123,7 +119,7 @@ def cmd_antipode(args):
         y = algebra.convert(algebra.antipode(x), args.basis)
     else:
         y = lagrange.antipode_g(args.degree)
-    _emit(args, _element_payload(y), repr(y))
+    _emit(args, y.to_json_dict(), repr(y))
     return 0
 
 
@@ -386,24 +382,16 @@ def _suite_lagrange(max_n):
 
 def _suite_bases(max_n):
     for n in range(max_n + 1):
-        for basis in ("L", "R", "G", "F"):
-            ok = True
-            for i in comps.all_compositions(n):
-                x = algebra.NSymElement.monomial("S", i)
-                y = algebra.convert(algebra.convert(x, basis), "S")
-                if y != x:
-                    ok = False
-                    break
-            yield f"S<->{basis} round trip, n={n}", ok, {"n": n, "basis": basis}
-        for basis in ("E", "V", "C"):
-            ok = True
-            for i in comps.all_compositions(n):
-                x = algebra.QSymElement.monomial("M", i)
-                y = algebra.qsym_convert(algebra.qsym_convert(x, basis), "M")
-                if y != x:
-                    ok = False
-                    break
-            yield f"M<->{basis} round trip, n={n}", ok, {"n": n, "basis": basis}
+        for basis in ("L", "R", "G", "F", "E", "V", "C"):
+            if basis in algebra.NSYM_BASES:
+                home, side = "S", algebra.NSymElement
+            else:
+                home, side = "M", algebra.QSymElement
+            ok = all(
+                algebra.convert(algebra.convert(x, basis), home) == x
+                for x in (side.monomial(home, i) for i in comps.all_compositions(n))
+            )
+            yield f"{home}<->{basis} round trip, n={n}", ok, {"n": n, "basis": basis}
     for n in range(1, min(max_n, 5) + 1):
         yield (
             f"conjugate reading fixes g, n={n}",
@@ -602,6 +590,9 @@ SUITES = {
 
 
 def cmd_verify(args):
+    if args.max_n < 0:
+        raise ValueError("--max-n must be nonnegative")
+    lagrange._check_bound(args.max_n)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     failed = 0
@@ -748,6 +739,10 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
+        # every answer about a composition grows exponentially with its
+        # weight: bounded here, while the library stays unbounded
+        if getattr(args, "index", None) is not None:
+            lagrange._check_bound(comps.weight(args.index))
         # looked up per call, so that a cmd_* replaced after the parser was
         # built (by a test or a tracer) is the one that runs
         return globals()[f"cmd_{args.command}"](args)

@@ -65,11 +65,16 @@ def delta_g_monomial(index) -> TensorElement:
 
 
 def _submultisets(letters):
-    """All distinct sub-multisets of a letter multiset, as sorted tuples."""
+    """All distinct sub-multisets u of a letter multiset, each with its
+    complement v, as pairs (u, v) of sorted tuples."""
     counts = sorted(Counter(letters).items())
-    out = [()]
+    out = [((), ())]
     for letter, mult in counts:
-        out = [u + (letter,) * k for u in out for k in range(mult + 1)]
+        out = [
+            (u + (letter,) * k, v + (letter,) * (mult - k))
+            for u, v in out
+            for k in range(mult + 1)
+        ]
     return out
 
 
@@ -79,13 +84,7 @@ def unparkized_terms(pi):
     pi = tuple(pi)
     if not (parking.is_nondecreasing(pi) and parking.is_parking(pi)):
         raise ValueError("index word must be a nondecreasing parking function")
-    counts = Counter(pi)
-    out = []
-    for u in _submultisets(pi):
-        rest = counts - Counter(u)
-        v = tuple(sorted(rest.elements()))
-        out.append((u, v))
-    return out
+    return _submultisets(pi)
 
 
 def coproduct_P(pi):

@@ -317,11 +317,8 @@ def gamma_check(N) -> bool:
 @lru_cache(maxsize=None)
 def g_monomial_on_s(index) -> NSymElement:
     """Expansion of a G-basis monomial on the S basis."""
-    index = tuple(index)
-    out = NSymElement.one("S")
-    for p in index:
-        out = out * g_component(p)
-    return out
+    acc = algebra._monomial_into({}, index, lambda p: g_component(p).terms)
+    return NSymElement("S", acc)
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +340,8 @@ def s_generator_on_g(n) -> NSymElement:
 
 @lru_cache(maxsize=None)
 def s_monomial_on_g(index) -> NSymElement:
-    index = tuple(index)
-    out = NSymElement.one("G")
-    for p in index:
-        out = out * s_generator_on_g(p)
-    return out
+    acc = algebra._monomial_into({}, index, lambda p: s_generator_on_g(p).terms)
+    return NSymElement("G", acc)
 
 
 def g_to_s_matrix(n):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from . import parking
+from . import compositions as comps, parking
 
 
 class NoncrossingPartition:
@@ -413,10 +413,13 @@ def rebuild_tree(i_comp, j_comp, trace=None):
 
     A glued branch of size p marks its attachment node and adds p-1 new
     nodes; size-1 parts only mark.  Incompatible inputs raise
-    RebuildFailure carrying the failing step index.
+    RebuildFailure carrying the failing step index; a part below 1 is not
+    a branch length at all and raises a plain ValueError.
     """
     i_parts = list(i_comp)
     j_parts = list(j_comp)
+    if not comps.is_composition(i_parts + j_parts):
+        raise ValueError("branch lengths must be compositions (parts >= 1)")
     step = 1
     if not i_parts:
         if j_parts:

@@ -161,6 +161,13 @@ def test_tensor_basis_pair_must_be_two_nsym_bases():
         TensorElement.one(("G", "G")) + TensorElement.one(("S", "S"))
 
 
+def test_tensor_degree_is_the_weight_of_both_legs():
+    t = TensorElement.monomial(("G", "G"), (1,), (2,))
+    assert t.degrees() == [3]
+    assert t.is_homogeneous() and t.is_homogeneous(3)
+    assert not (t + TensorElement.one(("G", "G"))).is_homogeneous()
+
+
 def test_tensor_swap_and_product():
     t = TensorElement.monomial(("S", "S"), (1,), (2,))
     assert t.swap() == TensorElement.monomial(("S", "S"), (2,), (1,))

@@ -242,6 +242,13 @@ def test_factorize_list_matches_count(capsys):
     assert data["count"] == len(data["factorizations"]) == 7
 
 
+def test_negative_max_n_is_refused_as_negative(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-n must be nonnegative" in err
+
+
 def test_domain_error_is_exit_two(capsys):
     code, _, err = run(capsys, "factorize", "--index", "9,1", "--left", "1", "--right", "9")
     assert code == 2
@@ -310,6 +317,13 @@ def test_incidence_values_at_degree_zero_is_one_value(capsys, function):
         ["expand", "--series", "cumulant", "--degree", "30"],
         ["incidence", "values", "--degree", "100000"],
         ["incidence", "multichains", "--n", "11", "--k", "2"],
+        # every --index is bounded by its weight, not part by part
+        ["convert", "--from", "L", "--to", "G", "--index", "9,9"],
+        ["convert", "--from", "S", "--to", "L", "--index", "17,"],
+        ["coproduct", "--index", "99999"],
+        ["antipode", "--index", "99999999", "--basis", "R"],
+        ["compatible", "--index", "99999999999"],
+        ["verify", "--suite", "factorization", "--max-n", "20"],
     ],
     ids="-".join,
 )
@@ -337,6 +351,12 @@ def test_listing_sizes_are_bounded_up_front(capsys, monkeypatch, argv):
         (["expand", "--series", "cumulant", "--degree", "4"], 4),
         (["incidence", "values", "--degree", "4"], 4),
         (["incidence", "multichains", "--n", "4", "--k", "2"], 4),
+        # refused by weight while every part is below the bound
+        (["convert", "--from", "S", "--to", "L", "--index", "2,3"], 5),
+        (["coproduct", "--index", "22"], 4),
+        (["antipode", "--index", "13", "--basis", "R"], 4),
+        (["compatible", "--index", "32"], 5),
+        (["verify", "--suite", "bases", "--max-n", "3"], 3),
     ],
     ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
 )
@@ -460,6 +480,7 @@ BAD_INPUTS = [
     ["kreweras", "--partition", "12|"],
     ["tree", "tau", "--left", "12", "--right", "12"],
     ["tree", "rebuild", "--left", "x", "--right", "1"],
+    ["tree", "rebuild", "--left", "0", "--right", "0"],
     ["motzkin", "--word", "21"],
     ["motzkin", "--path", "D"],
     ["factorize", "--index", "0", "--left", "1", "--right", "1"],
@@ -467,6 +488,13 @@ BAD_INPUTS = [
     ["incidence", "chains", "--n", "3", "--jumps", "5"],
     ["incidence", "mobius-number", "--n", "9"],
     ["verify", "--suite", "nope"],
+    ["verify", "--suite", "all", "--max-n", "-1"],
+    ["convert", "--from", "L", "--to", "G", "--index", "9,9"],
+    ["convert", "--from", "S", "--to", "L", "--index", "17,"],
+    ["coproduct", "--index", "99999"],
+    ["antipode", "--index", "99999999", "--basis", "R"],
+    ["compatible", "--index", "99999999999"],
+    ["verify", "--suite", "factorization", "--max-n", "20"],
 ]
 
 

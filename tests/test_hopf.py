@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -56,6 +58,27 @@ def test_word_coproduct_splits():
     assert len(terms) == 12
     assert ((), (1, 1, 2, 4)) in terms
     assert ((1, 1, 2, 4), ()) in terms
+
+
+def test_word_coproduct_splits_follow_the_multiplicity_vectors():
+    # reference: one split per vector (k_1, ..., k_m) of multiplicities taken
+    # into u, in lexicographic order; v keeps the rest
+    for n in range(7):
+        for pi in parking.enumerate_ndpf(n):
+            counts = sorted(Counter(pi).items())
+            want = [
+                (
+                    tuple(a for (a, _), k in zip(counts, ks) for _ in range(k)),
+                    tuple(a for (a, m), k in zip(counts, ks) for _ in range(m - k)),
+                )
+                for ks in itertools.product(*(range(m + 1) for _, m in counts))
+            ]
+            assert hopf.unparkized_terms(pi) == want
+
+
+def test_coproduct_of_g_is_homogeneous():
+    for n in range(7):
+        assert hopf.delta_g_algebraic(n).is_homogeneous(n)
 
 
 def test_word_coproduct_parkizes():

@@ -1,6 +1,6 @@
-"""Tripwire: every public function and method of the package is named
-somewhere besides its own ``def``, in the package, its tests or the
-benchmark harness.  Names are read as code tokens, so a word in a comment
+"""Tripwire: every public function and method of the package, and every
+private module-level function, is named somewhere besides its own
+``def``, in the package, its tests or the benchmark harness.  Names are read as code tokens, so a word in a comment
 or docstring does not count, but a string that is exactly the name does
 (the benchmark tracer patches functions by name).  ``cmd_*`` handlers are
 exempt because ``cli.main`` dispatches them by name, and dunders because
@@ -39,9 +39,28 @@ def _public_defs():
                 yield f"{path.relative_to(ROOT)}:{node.lineno}", node.name
 
 
-def test_every_public_function_is_named_besides_its_def():
-    defs = list(_public_defs())
+def _private_module_defs():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (
+                isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                yield f"{path.relative_to(ROOT)}:{node.lineno}", node.name
+
+
+def _unnamed(defs):
     def_count = Counter(name for _, name in defs)
     mentions = _mentions()
-    dead = [f"{where} {name}" for where, name in defs if mentions[name] <= def_count[name]]
+    return [f"{where} {name}" for where, name in defs if mentions[name] <= def_count[name]]
+
+
+def test_every_public_function_is_named_besides_its_def():
+    dead = _unnamed(list(_public_defs()))
+    assert not dead, "named nowhere but their def: " + ", ".join(dead)
+
+
+def test_every_private_module_function_is_named_besides_its_def():
+    dead = _unnamed(list(_private_module_defs()))
     assert not dead, "named nowhere but their def: " + ", ".join(dead)

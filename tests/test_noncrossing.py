@@ -186,6 +186,14 @@ def test_rebuild_reports_failing_step():
     assert err.value.step >= 1
 
 
+@pytest.mark.parametrize("i_comp, j_comp", [((0,), (0,)), ((1, 0), (1,)), ((2,), (1, -1))])
+def test_rebuild_refuses_a_part_below_one(i_comp, j_comp):
+    # not a failed rebuild: the input is no pair of branch compositions
+    with pytest.raises(ValueError, match="compositions") as err:
+        nc.rebuild_tree(i_comp, j_comp)
+    assert not isinstance(err.value, nc.RebuildFailure)
+
+
 def test_infix_successor_cycles_through_labels():
     for n in range(1, 8):
         for t in nc.enumerate_trees(n):

@@ -1,11 +1,12 @@
 """Property-based tests of the noncrossing bijections, the crossing test,
-the composition codec, the basis conversions, the antipode, the scalar
-functional equation and tensors, on random inputs larger than the
-exhaustive tests reach."""
+the composition codec, the basis conversions and their walk over the
+basis trees, the antipode, the scalar functional equation and tensors, on
+random inputs larger than the exhaustive tests reach."""
 
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclag import algebra, compositions as comps, incidence as inc, noncrossing as nc, parking
@@ -141,6 +142,46 @@ def test_conversion_from_m_and_back(x, basis):
     y = algebra.qsym_convert(x, basis)
     assert y.basis == basis
     assert algebra.qsym_convert(y, "M") == x
+
+
+@st.composite
+def nonzero_terms(draw, max_degree=5):
+    """A few nonzero terms of one degree, to be read on any basis."""
+    d = draw(st.integers(0, max_degree))
+    index = st.sampled_from(comps.all_compositions(d))
+    coeff = st.integers(-50, 50).filter(bool)
+    return draw(st.dictionaries(index, coeff, min_size=1, max_size=6))
+
+
+# (element class, root of the basis tree, bases) of each side
+SIDES = [(NSymElement, "S", algebra.NSYM_BASES), (QSymElement, "M", algebra.QSYM_BASES)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SIDES), nonzero_terms())
+def test_every_conversion_equals_the_route_through_the_root_and_inverts(side, terms):
+    cls, root, bases = side
+    for a in bases:
+        x = cls(a, terms)
+        for b in bases:
+            y = algebra.convert(x, b)
+            assert y.basis == b
+            assert y == algebra.convert(algebra.convert(x, root), b)
+            assert algebra.convert(y, a) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SIDES), nonzero_terms(max_degree=3), st.data())
+def test_conversion_never_leaves_its_side(side, terms, data):
+    cls, _, bases = side
+    others = [b for b in algebra.NSYM_BASES + algebra.QSYM_BASES if b not in bases]
+    target = data.draw(
+        st.one_of(st.sampled_from(others), st.text(max_size=2)).filter(lambda t: t not in bases)
+    )
+    for a in bases:
+        for walk in (algebra.convert, algebra.qsym_convert):
+            with pytest.raises(algebra.BasisMismatch):
+                walk(cls(a, terms), target)
 
 
 @settings(max_examples=60, deadline=None)

@@ -194,10 +194,22 @@ class _Element:
 
 
 def _revlex_key(comp):
-    # reverse-lex position among compositions of the same weight
-    n = sum(comp)
-    ds = set(comps.descent_set(comp))
-    return tuple(1 if d in ds else 0 for d in range(1, n))
+    """The descent mask of `comp`, the sum of 2^(n-1-d) over its descents
+    d: among the compositions of one weight n it orders them as
+    `all_compositions` does, like their 0/1 descent words."""
+    # each part p appends p - 1 zeros and a one; the last one is dropped
+    mask = 0
+    for p in comp:
+        mask = (mask << p) | 1
+    return mask >> 1
+
+
+def _word_key(comp, width):
+    """Orders the 0/1 descent words of compositions of weights up to
+    `width` lexicographically, a prefix first: the mask left-aligned to
+    `width` bits, then the word's length."""
+    length = max(sum(comp) - 1, 0)
+    return _revlex_key(comp) << (width - length), length
 
 
 class NSymElement(_Element):
@@ -296,10 +308,14 @@ class TensorElement(_Element):
         return sum(index[0]) + sum(index[1])
 
     def _sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda t: (self._weight(t[0]), _revlex_key(t[0][0]), _revlex_key(t[0][1])),
-        )
+        # the two legs of one total weight w differ in weight from term to
+        # term, so each leg's descent word is ordered among words of any
+        # length up to w
+        def key(t):
+            w = self._weight(t[0])
+            return (w, *_word_key(t[0][0], w), *_word_key(t[0][1], w))
+
+        return sorted(self.terms.items(), key=key)
 
     def __repr__(self):
         if not self.terms:
@@ -339,25 +355,20 @@ def _lagrange():
     return lagrange
 
 
-def _generator_sign_terms(n):
-    """S_n on L (or L_n on S): sum over compositions with sign (-1)^(n-l)."""
-    return {i: (-1) ** (n - len(i)) for i in comps.all_compositions(n)}
-
-
-def _monomials_of(factor):
-    """The edge map of a change of multiplicative basis, X^I = factor(i_1)
-    ... factor(i_r)."""
-    return lambda acc, i, c: _monomial_into(acc, i, factor, c)
+# An edge of the tables below is a function bind() that returns the edge
+# map into(acc, index, c): acc += c * (the `from` monomial of `index`,
+# expanded on `to`), in place.  A walk binds each edge once, so an edge
+# backed by `lagrange` looks the module up once per walk, not per term.
 
 
 def _spread(related, sign=lambda i, j: 1):
-    """The edge map X_I = sum over J in related(I) of sign(I, J) Y_J."""
+    """The edge X_I = sum over J in related(I) of sign(I, J) Y_J."""
 
     def into(acc, i, c):
         for j in related(i):
             acc[j] = acc.get(j, 0) + c * sign(i, j)
 
-    return into
+    return lambda: into
 
 
 def _length_sign(i, j):
@@ -366,21 +377,43 @@ def _length_sign(i, j):
     return (-1) ** ((len(i) - len(j)) % 2)
 
 
+def _weight_sign(i, j):
+    # (-1)^(|J|-l(J))
+    return (-1) ** (sum(j) - len(j))
+
+
 def _table(name):
-    """The edge map reading X_I off the cached expansion lagrange.<name>(I)."""
-    return lambda acc, i, c: _add_into(acc, getattr(_lagrange(), name)(i).terms, c)
+    """The edge reading X_I off the cached expansion lagrange.<name>(I)."""
+
+    def bind():
+        table = getattr(_lagrange(), name)
+        return lambda acc, i, c: _add_into(acc, table(i).terms, c)
+
+    return bind
 
 
-# (from, to) -> into(acc, index, c): acc += c * (the `from` monomial of
-# `index`, expanded on `to`), in place
+def _s_on_g():
+    """The S -> G edge map: S^I as the product of the cached G-expansions
+    of its generators S_i."""
+    generator = _lagrange().s_generator_on_g
+
+    def factor(p):
+        return generator(p).terms
+
+    return lambda acc, i, c: _monomial_into(acc, i, factor, c)
+
+
+# (from, to) -> bind
 _EDGES = {
-    ("L", "S"): _monomials_of(_generator_sign_terms),
-    ("S", "L"): _monomials_of(_generator_sign_terms),
+    # S_n = sum over J of n of (-1)^(n-l(J)) L^J, and L_n the same on S, so
+    # S^I (or L^I) spreads over the refinements J of I
+    ("L", "S"): _spread(comps.refinements, _weight_sign),
+    ("S", "L"): _spread(comps.refinements, _weight_sign),
     ("R", "S"): _spread(comps.coarsenings, _length_sign),
     # S^I = sum of R_J over J coarser than I
     ("S", "R"): _spread(comps.coarsenings),
     ("G", "S"): _table("g_monomial_on_s"),
-    ("S", "G"): _monomials_of(lambda p: _lagrange().s_generator_on_g(p).terms),
+    ("S", "G"): _s_on_g,
     ("F", "G"): _spread(comps.refinements, _length_sign),
     ("G", "F"): _spread(comps.refinements),
     ("E", "M"): _spread(comps.coarsenings),
@@ -388,7 +421,7 @@ _EDGES = {
     # M_I = sum over J coarser than I of (-1)^(l(I)-l(J)) E_J
     ("M", "E"): _spread(comps.coarsenings, _length_sign),
     ("M", "V"): _spread(
-        comps.coarsenings, lambda i, j: _length_sign(i, j) * (-1) ** (sum(j) - len(j))
+        comps.coarsenings, lambda i, j: _length_sign(i, j) * _weight_sign(i, j)
     ),
     ("C", "M"): _table("c_monomial_on_m"),
     ("M", "C"): _table("m_monomial_on_c"),
@@ -402,24 +435,40 @@ def _path_to_root(basis):
     return path
 
 
-def convert(x, target):
-    """Re-express an NSym or QSym element in another basis of its side
-    (exact, round-trippable): up the basis tree from x.basis to the lowest
-    common ancestor, then down to `target`, one pass over the terms per
-    edge."""
-    up, down = _path_to_root(x.basis), _path_to_root(target)
-    if up[-1] != down[-1]:
-        raise BasisMismatch(f"no conversion from {x.basis!r} to {target!r}")
+def _route(source, target):
+    """The edges from `source` up the basis tree to the lowest common
+    ancestor with `target`, then down to `target`."""
+    up, down = _path_to_root(source), _path_to_root(target)
     while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
         up.pop()
         down.pop()
     # up ends at the lowest common ancestor; walk down without repeating it
     route = up + down[:-1][::-1]
-    if len(route) == 1:
+    return tuple(_EDGES[edge] for edge in zip(route, route[1:]))
+
+
+# (from, to) -> the edges of the walk, for every pair of bases of one side
+_ROUTES = {
+    (a, b): _route(a, b)
+    for side in (NSYM_BASES, QSYM_BASES)
+    for a in side
+    for b in side
+}
+
+
+def convert(x, target):
+    """Re-express an NSym or QSym element in another basis of its side
+    (exact, round-trippable): up the basis tree from x.basis to the lowest
+    common ancestor, then down to `target`, one pass over the terms per
+    edge."""
+    route = _ROUTES.get((x.basis, target))
+    if route is None:
+        raise BasisMismatch(f"no conversion from {x.basis!r} to {target!r}")
+    if not route:
         return x
     terms = x.terms
-    for edge in zip(route, route[1:]):
-        into, acc = _EDGES[edge], {}
+    for bind in route:
+        into, acc = bind(), {}
         for i, c in terms.items():
             if c:
                 into(acc, i, c)

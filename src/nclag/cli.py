@@ -51,14 +51,37 @@ def _emit(args, payload, text):
         print(text)
 
 
+def _emit_lazy(args, payload, text):
+    """Like `_emit`, from zero-argument builders: only the output asked for
+    is built (for an element, each of the two sorts its terms)."""
+    if args.json:
+        print(json.dumps(payload(), sort_keys=True))
+    else:
+        print(text())
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
+
+
+def _check_k_analogue(k, n):
+    """Refuse k * n above 400 times the bound: the k-analogue solve keeps a
+    memo of power components that grows linearly in k * n (a peak RSS of
+    about 51 MB at k = 400, n = 10, and 108 MB at k = 1000)."""
+    limit = 400 * lagrange.max_degree()
+    if k * n > limit:
+        raise ValueError(
+            f"k * degree = {k * n} exceeds {limit}, 400 times the table bound "
+            "(raise NCLAG_MAX_DEGREE to extend)"
+        )
 
 
 def cmd_expand(args):
     n = args.degree
     # 2^(n-1) terms: bounded here, while the library stays unbounded
     lagrange._check_bound(n)
+    if args.series == "gk":
+        _check_k_analogue(args.k, n)
     if args.series == "g":
         x = lagrange.g_component(n)
     elif args.series == "gk":
@@ -72,14 +95,14 @@ def cmd_expand(args):
     else:
         raise AssertionError(args.series)
     x = algebra.convert(x, args.basis)
-    _emit(args, x.to_json_dict(), repr(x))
+    _emit_lazy(args, x.to_json_dict, x.__repr__)
     return 0
 
 
 def cmd_convert(args):
     x = algebra.NSymElement.monomial(args.basis_from, args.index)
     y = algebra.convert(x, args.basis_to)
-    _emit(args, y.to_json_dict(), repr(y))
+    _emit_lazy(args, y.to_json_dict, y.__repr__)
     return 0
 
 
@@ -87,15 +110,17 @@ def cmd_coproduct(args):
     if args.word is not None:
         cp = hopf.coproduct_P(args.word)
         items = sorted(cp.items())
-        payload = [
-            {"left": list(u), "right": list(v), "coeff": c}
-            for (u, v), c in items
-        ]
-        text = "\n".join(
-            f"{c} * P[{','.join(map(str, u))}] (x) P[{','.join(map(str, v))}]"
-            for (u, v), c in items
+        _emit_lazy(
+            args,
+            lambda: [
+                {"left": list(u), "right": list(v), "coeff": c}
+                for (u, v), c in items
+            ],
+            lambda: "\n".join(
+                f"{c} * P[{','.join(map(str, u))}] (x) P[{','.join(map(str, v))}]"
+                for (u, v), c in items
+            ),
         )
-        _emit(args, payload, text)
         return 0
     if args.index is not None:
         t = hopf.delta_g_monomial(args.index)
@@ -109,7 +134,7 @@ def cmd_coproduct(args):
             "noncrossing": hopf.delta_g_noncrossing,
         }
         t = routes[args.route](args.degree)
-    _emit(args, t.to_json_dict(), repr(t))
+    _emit_lazy(args, t.to_json_dict, t.__repr__)
     return 0
 
 
@@ -119,7 +144,7 @@ def cmd_antipode(args):
         y = algebra.convert(algebra.antipode(x), args.basis)
     else:
         y = lagrange.antipode_g(args.degree)
-    _emit(args, y.to_json_dict(), repr(y))
+    _emit_lazy(args, y.to_json_dict, y.__repr__)
     return 0
 
 
@@ -199,21 +224,29 @@ def cmd_biprofiles(args):
     # Catalan(n + 1) biprofiles: bounded here, while the library stays unbounded
     lagrange._check_bound(args.n + 1)
     bps = parking.enumerate_parking_biprofiles(args.n)
-    payload = []
-    lines = []
-    for left, right in bps:
-        i, j = parking.biprofile_to_compositions(left, right)
-        payload.append(
-            {
-                "left": [list(left[0]), list(left[1])],
-                "right": [list(right[0]), list(right[1])],
-                "compositions": [list(i), list(j)],
-            }
-        )
-        lines.append(
+    items = [
+        (left, right, *parking.biprofile_to_compositions(left, right))
+        for left, right in bps
+    ]
+    _emit_lazy(
+        args,
+        lambda: {
+            "n": args.n,
+            "count": len(bps),
+            "items": [
+                {
+                    "left": [list(left[0]), list(left[1])],
+                    "right": [list(right[0]), list(right[1])],
+                    "compositions": [list(i), list(j)],
+                }
+                for left, right, i, j in items
+            ],
+        },
+        lambda: "\n".join(
             f"{left} {right} -> {comps.to_text(i)} | {comps.to_text(j)}"
-        )
-    _emit(args, {"n": args.n, "count": len(bps), "items": payload}, "\n".join(lines))
+            for left, right, i, j in items
+        ),
+    )
     return 0
 
 
@@ -597,10 +630,20 @@ def cmd_verify(args):
     reports = []
     failed = 0
     for name in names:
-        t0 = time.monotonic()
+        t0 = last = time.monotonic()
         cases = []
+        # a case's time runs from the previous yield (or the suite's start)
         for label, ok, witness in SUITES[name](args.max_n):
-            cases.append({"case": label, "ok": bool(ok), "witness": witness})
+            now = time.monotonic()
+            cases.append(
+                {
+                    "case": label,
+                    "ok": bool(ok),
+                    "witness": witness,
+                    "seconds": round(now - last, 3),
+                }
+            )
+            last = now
             if not ok:
                 failed += 1
         reports.append(

@@ -29,11 +29,11 @@ def all_compositions(n):
         raise ValueError("n must be nonnegative")
     if n == 0:
         return [()]
-    out = []
-    for mask in range(1 << (n - 1)):
-        descents = {j + 1 for j in range(n - 1) if mask & (1 << (n - 2 - j))}
-        out.append(composition_from_descents(descents, n))
-    return out
+    # product() counts in binary with the first position most significant
+    return [
+        _cut(n, tuple(itertools.compress(range(1, n), bits)))
+        for bits in itertools.product((0, 1), repeat=n - 1)
+    ]
 
 
 def descent_set(comp):
@@ -47,13 +47,18 @@ def composition_from_descents(descents, n):
     ds = sorted(set(descents))
     if any(d <= 0 or d >= n for d in ds):
         raise ValueError("descents must lie strictly between 0 and n")
+    return _cut(n, ds) if n > 0 else ()
+
+
+def _cut(n, descents):
+    """The composition of n > 0 cut at `descents`, increasing positions
+    strictly between 0 and n (unchecked)."""
     parts = []
     prev = 0
-    for d in ds:
+    for d in descents:
         parts.append(d - prev)
         prev = d
-    if n > 0:
-        parts.append(n - prev)
+    parts.append(n - prev)
     return tuple(parts)
 
 
@@ -67,24 +72,29 @@ def refines(j, i) -> bool:
 def coarsenings(comp):
     """All compositions coarser than (or equal to) `comp`."""
     n = weight(comp)
+    if n == 0:
+        return [()]
     ds = descent_set(comp)
-    out = []
-    for r in range(len(ds) + 1):
-        for sub in itertools.combinations(ds, r):
-            out.append(composition_from_descents(sub, n))
-    return out
+    # combinations of an increasing list are increasing
+    return [
+        _cut(n, sub)
+        for r in range(len(ds) + 1)
+        for sub in itertools.combinations(ds, r)
+    ]
 
 
 def refinements(comp):
     """All compositions finer than (or equal to) `comp`."""
     n = weight(comp)
-    fixed = set(descent_set(comp))
+    if n == 0:
+        return [()]
+    fixed = tuple(descent_set(comp))
     free = [d for d in range(1, n) if d not in fixed]
-    out = []
-    for r in range(len(free) + 1):
-        for sub in itertools.combinations(free, r):
-            out.append(composition_from_descents(fixed.union(sub), n))
-    return out
+    return [
+        _cut(n, sorted(fixed + sub))
+        for r in range(len(free) + 1)
+        for sub in itertools.combinations(free, r)
+    ]
 
 
 def mirror(comp):

@@ -223,8 +223,19 @@ def gk_component_iterative(k, n) -> NSymElement:
 
 
 def gk_component_via_phi(k, n) -> NSymElement:
-    """Same component as the divisible-part projection of g in degree kn."""
-    return algebra.phi_k(g_component(k * n), k)
+    """Same component as the divisible-part projection of g in degree kn,
+    phi_k(g_kn): the coefficient of S^J is that of S^(kJ) in g_kn.  Only the
+    2^(n-1) indices kJ, J a composition of n, have every part divisible by
+    k, so each is looked up instead of filtering all 2^(kn-1) terms."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    gkn = g_component(k * n).terms
+    terms = {}
+    for j in comps.all_compositions(n):
+        c = gkn.get(tuple(k * p for p in j))
+        if c:
+            terms[j] = c
+    return NSymElement("S", terms)
 
 
 def k_parking_check(n, k) -> bool:
@@ -515,11 +526,15 @@ def v_pairing(i_comp, j_comp) -> int:
 
 
 def antipode_g_formula(n) -> NSymElement:
-    """Cancellation-free route: tally v_pairing against mirrored word counts."""
+    """Cancellation-free route: the coefficient of g^I is (-1)^n times the
+    sum over J of v_pairing(I, J) times the number of nondecreasing parking
+    functions of type mirror(J).  v_pairing(I, J) is zero unless J is
+    coarser than I, so J runs over the coarsenings of I only: 3^(n-1)
+    pairs in all, not 4^(n-1)."""
     terms = {}
     for i in comps.all_compositions(n):
         total = 0
-        for j in comps.all_compositions(n):
+        for j in comps.coarsenings(i):
             vp = v_pairing(i, j)
             if vp:
                 total += vp * parking.ndpf_count_of_type(comps.mirror(j))

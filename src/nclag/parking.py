@@ -272,11 +272,17 @@ def is_compatible(i_comp, j_comp) -> bool:
 
 
 def enumerate_compatible_pairs(n):
-    """All compatible pairs of compositions of weight n."""
+    """All compatible pairs of compositions of weight n, in the reverse
+    lexicographic order of I, then of J.  A pair needs l(I) + l(J) = n + 1,
+    so each I is tried only against the J with n + 1 - l(I) parts."""
+    order = comps.all_compositions(n)
+    by_length = {}
+    for j in order:
+        by_length.setdefault(len(j), []).append(j)
     out = []
-    for i in comps.all_compositions(n):
-        for j in comps.all_compositions(n):
-            if len(i) + len(j) == n + 1 and is_compatible(i, j):
+    for i in order:
+        for j in by_length.get(n + 1 - len(i), ()):
+            if is_compatible(i, j):
                 out.append((i, j))
     return out
 

@@ -1,6 +1,6 @@
 import pytest
 
-from nclag import compositions as comps
+from nclag import algebra, compositions as comps
 from nclag.algebra import (
     BasisMismatch,
     NSymElement,
@@ -49,6 +49,22 @@ def test_nsym_round_trips():
             for i in comps.all_compositions(n):
                 x = NSymElement.monomial(basis, i)
                 assert convert(convert(x, "S"), basis) == x
+
+
+def signed_generator(n):
+    """S_n on the L basis, and L_n on the S basis: every composition J of n
+    with the sign (-1)^(n - l(J))."""
+    return {j: (-1) ** (n - len(j)) for j in comps.all_compositions(n)}
+
+
+@pytest.mark.parametrize("source, target", [("S", "L"), ("L", "S")])
+def test_l_s_edges_equal_the_product_of_signed_generators(source, target):
+    for n in range(8):
+        for i in comps.all_compositions(n):
+            want = algebra._monomial_into({}, i, signed_generator)
+            got = convert(NSymElement.monomial(source, i), target)
+            assert got == NSymElement(target, want)
+            assert all(type(c) is int for c in got.terms.values())
 
 
 def test_f_conversions_keep_integer_coefficients():

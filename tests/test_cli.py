@@ -1,9 +1,10 @@
 import json
 import re
+import time
 
 import pytest
 
-from nclag import cli, lagrange
+from nclag import algebra, cli, compositions as comps, lagrange
 
 
 def run(capsys, *argv):
@@ -200,6 +201,60 @@ def test_verify_json_report(capsys):
     assert all(c["ok"] for r in data["reports"] for c in r["cases"])
 
 
+def test_verify_json_times_each_case_from_the_previous_one(capsys, monkeypatch):
+    def suite(max_n):
+        time.sleep(0.05)
+        yield "slow case", True, {}
+        yield "quick case", True, {}
+
+    monkeypatch.setitem(cli.SUITES, "antipode", suite)
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "antipode")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    slow, quick = report["cases"]
+    assert [slow["case"], quick["case"]] == ["slow case", "quick case"]
+    assert slow["seconds"] >= 0.05 > quick["seconds"] >= 0
+    assert report["seconds"] >= slow["seconds"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--series", "g", "--degree", "4", "--basis", "G"],
+        ["convert", "--from", "G", "--to", "S", "--index", "21"],
+        ["coproduct", "--degree", "3"],
+        ["coproduct", "--index", "21"],
+        ["antipode", "--degree", "3"],
+        ["antipode", "--index", "12", "--basis", "R"],
+    ],
+    ids="-".join,
+)
+def test_elements_build_only_the_output_asked_for(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("built an output that was not asked for")
+
+    for cls in (algebra.NSymElement, algebra.TensorElement):
+        monkeypatch.setattr(cls, "__repr__", refuse)
+    json_code, json_out, _ = run(capsys, "--json", *argv)
+    monkeypatch.undo()
+    for cls in (algebra.NSymElement, algebra.TensorElement):
+        monkeypatch.setattr(cls, "to_json_dict", refuse)
+    text_code, text_out, _ = run(capsys, *argv)
+    assert json_code == text_code == 0
+    assert json.loads(json_out)["terms"]
+    assert text_out.strip()
+
+
+def test_json_biprofiles_format_no_text(capsys, monkeypatch):
+    def refuse(comp):
+        raise AssertionError("formatted text under --json")
+
+    monkeypatch.setattr(comps, "to_text", refuse)
+    code, out, _ = run(capsys, "--json", "biprofiles", "--n", "3")
+    assert code == 0
+    assert json.loads(out)["count"] == 14
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
@@ -315,6 +370,8 @@ def test_incidence_values_at_degree_zero_is_one_value(capsys, function):
         ["expand", "--series", "gneg", "--degree", "11"],
         ["expand", "--series", "antipode", "--degree", "11"],
         ["expand", "--series", "cumulant", "--degree", "30"],
+        # k * degree = 4010, while the degree alone is within the bound
+        ["expand", "--series", "gk", "--k", "401", "--degree", "10"],
         ["incidence", "values", "--degree", "100000"],
         ["incidence", "multichains", "--n", "11", "--k", "2"],
         # every --index is bounded by its weight, not part by part
@@ -349,6 +406,8 @@ def test_listing_sizes_are_bounded_up_front(capsys, monkeypatch, argv):
         (["expand", "--series", "gneg", "--degree", "4"], 4),
         (["expand", "--series", "antipode", "--degree", "4"], 4),
         (["expand", "--series", "cumulant", "--degree", "4"], 4),
+        # k * degree = 1200 = 400 * 3
+        (["expand", "--series", "gk", "--k", "600", "--degree", "2"], 3),
         (["incidence", "values", "--degree", "4"], 4),
         (["incidence", "multichains", "--n", "4", "--k", "2"], 4),
         # refused by weight while every part is below the bound

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nclag import compositions as comps, lagrange
+from nclag import algebra, compositions as comps, lagrange, parking
 from nclag.algebra import NSymElement
 
 
@@ -59,6 +59,12 @@ def test_k_analogue_three_routes_agree():
             a = lagrange.gk_component(k, n)
             assert a == lagrange.gk_component_iterative(k, n)
             assert a == lagrange.gk_component_via_phi(k, n)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in range(1, 13) for n in range(13 // k)])
+def test_phi_route_equals_the_projection_of_all_terms(k, n):
+    want = algebra.phi_k(lagrange.g_component(k * n), k)
+    assert lagrange.gk_component_via_phi(k, n) == want
 
 
 def test_k_analogue_iterative_route_for_k_up_to_four():
@@ -179,6 +185,23 @@ def test_antipode_three_routes_agree():
         a = lagrange.antipode_g(n)
         assert a == lagrange.antipode_g_four_step(n)
         assert a == lagrange.antipode_g_formula(n)
+
+
+def antipode_formula_over_all_pairs(n):
+    """The formula route with v_pairing taken against every composition."""
+    terms = {}
+    for i in comps.all_compositions(n):
+        total = sum(
+            lagrange.v_pairing(i, j) * parking.ndpf_count_of_type(comps.mirror(j))
+            for j in comps.all_compositions(n)
+        )
+        terms[i] = (-1) ** n * total
+    return NSymElement("G", terms)
+
+
+def test_antipode_formula_equals_the_all_pairs_reference():
+    for n in range(8):
+        assert lagrange.antipode_g_formula(n) == antipode_formula_over_all_pairs(n)
 
 
 def test_antipode_cubic_display():

@@ -140,6 +140,17 @@ def test_compatible_pair_counts_are_catalan():
         assert len(parking.enumerate_compatible_pairs(n)) == catalan(n)
 
 
+def test_compatible_pairs_equal_the_all_pairs_filter():
+    for n in range(9):
+        want = [
+            (i, j)
+            for i in comps.all_compositions(n)
+            for j in comps.all_compositions(n)
+            if parking.is_compatible(i, j)
+        ]
+        assert parking.enumerate_compatible_pairs(n) == want
+
+
 def test_weight_four_compatible_pairs():
     want = {
         ((4,), (1, 1, 1, 1)),

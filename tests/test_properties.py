@@ -1,13 +1,14 @@
 """Property-based tests of the noncrossing bijections, the crossing test,
-the composition codec, the basis conversions and their walk over the
-basis trees, the antipode, the scalar functional equation and tensors, on
-random inputs larger than the exhaustive tests reach."""
+the composition codec and lattice walks, the basis conversions and their
+walk over the basis trees, the antipode, the scalar functional equation and
+tensors, on random inputs larger than the exhaustive tests reach."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nclag import algebra, compositions as comps, incidence as inc, noncrossing as nc, parking
 from nclag.algebra import NSymElement, QSymElement, TensorElement
@@ -120,6 +121,66 @@ def test_composition_text_round_trip(parts):
     assert comps.from_text(comps.to_text(comp)) == comp
 
 
+def composition_cut_at(descents, n):
+    """The composition of n whose descent set is `descents`, any order."""
+    cuts = [0, *sorted(set(descents)), n] if n else [0]
+    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+@st.composite
+def compositions(draw, max_n=9):
+    """A composition of n <= max_n, drawn as its descent set."""
+    n = draw(st.integers(0, max_n))
+    return composition_cut_at(draw(st.sets(st.integers(1, n - 1))) if n > 1 else (), n)
+
+
+def reference_all_compositions(n):
+    """Descent masks counted in binary, the descent at 1 most significant."""
+    return [
+        composition_cut_at([d for d in range(1, n) if mask >> (n - 1 - d) & 1], n)
+        for mask in range(1 << max(n - 1, 0))
+    ]
+
+
+def reference_coarsenings(comp):
+    """Every subset of Des(comp), by size, then in combinations order."""
+    ds = comps.descent_set(comp)
+    return [
+        composition_cut_at(sub, sum(comp))
+        for r in range(len(ds) + 1)
+        for sub in itertools.combinations(ds, r)
+    ]
+
+
+def reference_refinements(comp):
+    """Des(comp) with every subset of the other positions added, by size,
+    then in combinations order."""
+    n = sum(comp)
+    fixed = set(comps.descent_set(comp))
+    free = [d for d in range(1, n) if d not in fixed]
+    return [
+        composition_cut_at(fixed.union(sub), n)
+        for r in range(len(free) + 1)
+        for sub in itertools.combinations(free, r)
+    ]
+
+
+@MODEST
+@given(compositions())
+def test_lattice_walks_equal_the_descent_set_reference(comp):
+    n = sum(comp)
+    assert comps.all_compositions(n) == reference_all_compositions(n)
+    assert comps.coarsenings(comp) == reference_coarsenings(comp)
+    assert comps.refinements(comp) == reference_refinements(comp)
+
+
+@MODEST
+@given(st.integers(0, 9))
+def test_revlex_key_orders_compositions_as_all_compositions(n):
+    order = comps.all_compositions(n)
+    assert sorted(reversed(order), key=algebra._revlex_key) == order
+
+
 @settings(max_examples=60, deadline=None)
 @given(s_elements(), st.sampled_from(["G", "L", "R", "F"]))
 def test_conversion_from_s_and_back(x, basis):
@@ -227,6 +288,26 @@ def tensors(draw, basis="S", max_degree=3):
 @given(tensors(), tensors(), tensors())
 def test_tensor_product_is_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
+
+
+def descent_word(comp):
+    """The 0/1 descent word of a composition (empty for weights 0 and 1)."""
+    ds = set(comps.descent_set(comp))
+    return tuple(1 if d in ds else 0 for d in range(1, sum(comp)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(max_degree=4))
+# left legs of weights 0 and 1 share the empty word: the right legs decide
+@example(TensorElement(("S", "S"), {((), (2,)): 1, ((1,), (1,)): 1, ((), (1, 1)): 1}))
+def test_tensor_terms_sort_by_total_weight_then_each_leg_descent_word(t):
+    # the legs of one total weight differ in weight, so their descent words
+    # differ in length: a prefix sorts first
+    want = sorted(
+        t.terms.items(),
+        key=lambda kv: (t._weight(kv[0]), descent_word(kv[0][0]), descent_word(kv[0][1])),
+    )
+    assert t._sorted_terms() == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,9 @@ coefficients are Python ints, so arbitrary precision comes for free.
 
 Conversions walk two basis trees, one edge at a time: S with children L,
 R and G, and F below G; M with children E, V and C.  The S<->G and M<->C
-edges are backed by the cached tables of the `lagrange` module.
+edges are backed by the cached tables of the `lagrange` module; the other
+ten sum over refinements or coarsenings, as one transform over descent
+masks (`_lattice`).
 
 A sum of many terms accumulates into a fresh dict (`_add_into`,
 `_mul_into`), never into a cached element's terms, and is wrapped in an
@@ -58,16 +60,38 @@ def _mul_into(acc, x_terms, y_terms, c=1):
     return acc
 
 
-def _monomial_into(acc, index, factor, c=1):
-    """acc += c * factor(p_1) * ... * factor(p_r) for index = (p_1, ..., p_r),
-    in place, where factor(p) gives the terms of one factor of a product
-    that concatenates indices."""
-    head = {(): c}
-    for p in index[:-1]:
-        head = _mul_into({}, head, factor(p))
-    if not index:
-        return _add_into(acc, head)
-    return _mul_into(acc, head, factor(index[-1]))
+def _products_into(acc, terms, factor):
+    """acc += sum over I of terms[I] * factor(i_1) * ... * factor(i_r), in
+    place, where factor(p) gives the terms of one factor of a product that
+    concatenates indices.
+
+    Horner's rule on the first part: sum_I c_I f(I) = sum_p factor(p) *
+    (sum_J c_(p,J) f(J)), so each tail is expanded once and its terms cancel
+    before factor(p) multiplies them.  The tails of the prefixes of one
+    length are finished together, longest first, so nothing recurses on the
+    length of an index.
+    """
+    # levels[r]: each prefix P of length r -> the expanded tail of P
+    levels = {}
+    for i, c in terms.items():
+        if c:
+            levels.setdefault(len(i), {})[i] = {(): c}
+    if not levels:
+        return acc
+    top = max(levels)
+    tails = levels.pop(top)
+    for r in range(top, 0, -1):
+        parents = levels.pop(r - 1, {})
+        for prefix, tail in tails.items():
+            tail = _clean(tail)
+            if tail:
+                head = prefix[:-1]
+                into = parents.get(head)
+                if into is None:
+                    into = parents[head] = {}
+                _mul_into(into, factor(prefix[-1]), tail)
+        tails = parents
+    return _add_into(acc, tails.get((), {}))
 
 
 class _Element:
@@ -355,74 +379,109 @@ def _lagrange():
     return lagrange
 
 
-# An edge of the tables below is a function bind() that returns the edge
-# map into(acc, index, c): acc += c * (the `from` monomial of `index`,
-# expanded on `to`), in place.  A walk binds each edge once, so an edge
-# backed by `lagrange` looks the module up once per walk, not per term.
+# An edge of the table below is a map from the terms of an element on one
+# basis to a fresh dict of its terms on the other.
 
 
-def _spread(related, sign=lambda i, j: 1):
-    """The edge X_I = sum over J in related(I) of sign(I, J) Y_J."""
-
-    def into(acc, i, c):
-        for j in related(i):
-            acc[j] = acc.get(j, 0) + c * sign(i, j)
-
-    return lambda: into
-
-
-def _length_sign(i, j):
-    # (-1)^(l(I)-l(J)) with a nonnegative exponent, so that it stays an int
-    # when J refines I
-    return (-1) ** ((len(i) - len(j)) % 2)
+def _unmask(n, mask):
+    """The composition of n whose descent mask (`_revlex_key`) is `mask`."""
+    if n < 2:
+        return (n,) if n else ()
+    # the descent word behind a leading 1, with a 0 after each 1: split at
+    # the 1s it is one 0 run per part, as long as the part
+    return tuple(map(len, bin(mask | 1 << (n - 1))[2:].replace("1", "10")[1:].split("1")))
 
 
-def _weight_sign(i, j):
-    # (-1)^(|J|-l(J))
-    return (-1) ** (sum(j) - len(j))
+def _lattice(finer, mobius=False, source_sign=False, target_sign=False):
+    """The edge X_I = sum of sign(I, J) Y_J over the compositions J finer
+    than I (finer=True) or coarser than I, with the sign the product of
+    (-1)^(l(J)-l(I)) if `mobius`, (-1)^(|I|-l(I)) if `source_sign` and
+    (-1)^(|J|-l(J)) if `target_sign`.
+
+    A composition of n is its (n-1)-bit descent mask, so J runs over the
+    supersets (finer) or subsets (coarser) of I's mask.  The terms of one
+    weight are summed over those in one pass per descent position, each
+    term of the pass adding into the mask with that descent toggled, with
+    a factor -1 under `mobius`: at most (n-1) 2^(n-2) additions per
+    weight, where spreading each term over its refinements or coarsenings
+    takes up to 3^(n-1).
+    """
+    step = -1 if mobius else 1
+
+    def edge(terms):
+        weights = {}
+        for i, c in terms.items():
+            if c:
+                n = sum(i)
+                if source_sign and (n - len(i)) & 1:
+                    c = -c
+                weights.setdefault(n, {})[_revlex_key(i)] = c
+        out = {}
+        for n, tally in weights.items():
+            # a finer J sets a bit where I clears it, a coarser one clears a
+            # bit where I sets it; a bit no term can toggle is skipped
+            free = 0
+            for mask in tally:
+                free |= ~mask if finer else mask
+            for bit in (1 << d for d in range(n - 1)):
+                if not free & bit:
+                    continue
+                want = 0 if finer else bit
+                for mask, c in list(tally.items()):
+                    if mask & bit == want and c:
+                        other = mask ^ bit
+                        tally[other] = tally.get(other, 0) + step * c
+            for mask, c in tally.items():
+                if c:
+                    j = _unmask(n, mask)
+                    out[j] = -c if target_sign and (n - len(j)) & 1 else c
+        return out
+
+    return edge
 
 
 def _table(name):
     """The edge reading X_I off the cached expansion lagrange.<name>(I)."""
 
-    def bind():
+    def edge(terms):
         table = getattr(_lagrange(), name)
-        return lambda acc, i, c: _add_into(acc, table(i).terms, c)
+        acc = {}
+        for i, c in terms.items():
+            if c:
+                _add_into(acc, table(i).terms, c)
+        return acc
 
-    return bind
+    return edge
 
 
-def _s_on_g():
-    """The S -> G edge map: S^I as the product of the cached G-expansions
-    of its generators S_i."""
+def _s_to_g(terms):
+    """The S -> G edge: each S^I as the product of the cached G-expansions
+    of its generators, by Horner's rule on the first part."""
     generator = _lagrange().s_generator_on_g
-
-    def factor(p):
-        return generator(p).terms
-
-    return lambda acc, i, c: _monomial_into(acc, i, factor, c)
+    return _products_into({}, terms, lambda p: generator(p).terms)
 
 
-# (from, to) -> bind
+# (from, to) -> edge
 _EDGES = {
     # S_n = sum over J of n of (-1)^(n-l(J)) L^J, and L_n the same on S, so
     # S^I (or L^I) spreads over the refinements J of I
-    ("L", "S"): _spread(comps.refinements, _weight_sign),
-    ("S", "L"): _spread(comps.refinements, _weight_sign),
-    ("R", "S"): _spread(comps.coarsenings, _length_sign),
+    ("L", "S"): _lattice(finer=True, target_sign=True),
+    ("S", "L"): _lattice(finer=True, target_sign=True),
+    ("R", "S"): _lattice(finer=False, mobius=True),
     # S^I = sum of R_J over J coarser than I
-    ("S", "R"): _spread(comps.coarsenings),
+    ("S", "R"): _lattice(finer=False),
     ("G", "S"): _table("g_monomial_on_s"),
-    ("S", "G"): _s_on_g,
-    ("F", "G"): _spread(comps.refinements, _length_sign),
-    ("G", "F"): _spread(comps.refinements),
-    ("E", "M"): _spread(comps.coarsenings),
-    ("V", "M"): _spread(comps.coarsenings, lambda i, j: (-1) ** (sum(i) - len(i))),
+    ("S", "G"): _s_to_g,
+    ("F", "G"): _lattice(finer=True, mobius=True),
+    ("G", "F"): _lattice(finer=True),
+    ("E", "M"): _lattice(finer=False),
+    ("V", "M"): _lattice(finer=False, source_sign=True),
     # M_I = sum over J coarser than I of (-1)^(l(I)-l(J)) E_J
-    ("M", "E"): _spread(comps.coarsenings, _length_sign),
-    ("M", "V"): _spread(
-        comps.coarsenings, lambda i, j: _length_sign(i, j) * _weight_sign(i, j)
-    ),
+    ("M", "E"): _lattice(finer=False, mobius=True),
+    # M_I = sum over J coarser than I of (-1)^(l(I)-l(J)) (-1)^(|J|-l(J))
+    # V_J; the two signs multiply to (-1)^(|I|-l(I)), so V <-> M is one
+    # involution
+    ("M", "V"): _lattice(finer=False, source_sign=True),
     ("C", "M"): _table("c_monomial_on_m"),
     ("M", "C"): _table("m_monomial_on_c"),
 }
@@ -459,20 +518,16 @@ _ROUTES = {
 def convert(x, target):
     """Re-express an NSym or QSym element in another basis of its side
     (exact, round-trippable): up the basis tree from x.basis to the lowest
-    common ancestor, then down to `target`, one pass over the terms per
-    edge."""
+    common ancestor, then down to `target`, each edge one pass from the
+    terms to a fresh dict."""
     route = _ROUTES.get((x.basis, target))
     if route is None:
         raise BasisMismatch(f"no conversion from {x.basis!r} to {target!r}")
     if not route:
         return x
     terms = x.terms
-    for bind in route:
-        into, acc = bind(), {}
-        for i, c in terms.items():
-            if c:
-                into(acc, i, c)
-        terms = acc
+    for edge in route:
+        terms = edge(terms)
     return type(x)._adopt(target, terms)
 
 

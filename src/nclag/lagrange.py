@@ -328,30 +328,26 @@ def gamma_check(N) -> bool:
 @lru_cache(maxsize=None)
 def g_monomial_on_s(index) -> NSymElement:
     """Expansion of a G-basis monomial on the S basis."""
-    acc = algebra._monomial_into({}, index, lambda p: g_component(p).terms)
+    acc = algebra._products_into({}, {index: 1}, lambda p: g_component(p).terms)
     return NSymElement("S", acc)
 
 
 @lru_cache(maxsize=None)
 def s_generator_on_g(n) -> NSymElement:
-    """Expansion of S_n on the G basis, by peeling the leading term of g_n."""
+    """Expansion of S_n on the G basis, by peeling the leading term of g_n:
+    S_n = g_n - (the other terms of g_n, whose parts are all below n), the
+    latter expanded by the S -> G pass over the generators below n."""
     _check_bound(n)
     if n == 0:
         return NSymElement.one("G")
-
-    def factor(p):
-        return s_generator_on_g(p).terms
-
-    acc = {(n,): 1}
-    for j, c in g_component(n).terms.items():
-        if j != (n,):
-            algebra._monomial_into(acc, j, factor, -c)
+    rest = {j: -c for j, c in g_component(n).terms.items() if j != (n,)}
+    acc = algebra._products_into({(n,): 1}, rest, lambda p: s_generator_on_g(p).terms)
     return NSymElement("G", acc)
 
 
 @lru_cache(maxsize=None)
 def s_monomial_on_g(index) -> NSymElement:
-    acc = algebra._monomial_into({}, index, lambda p: s_generator_on_g(p).terms)
+    acc = algebra._products_into({}, {index: 1}, lambda p: s_generator_on_g(p).terms)
     return NSymElement("G", acc)
 
 
@@ -397,13 +393,17 @@ def s_to_g_via_recipe(n) -> NSymElement:
 
 def _transposed_column(table, index, basis):
     """The dual basis element of `index`: its coefficient at each j of the
-    same weight is the coefficient of `index` in table(j)."""
+    same weight is the coefficient of `index` in table(j).
+
+    table(j) is a product of one expansion per part of j, so it lives on
+    the refinements of j, and only the coarsenings j of `index` are read:
+    2^(l-1) lookups for an index of length l, 3^(n-1) for all the columns
+    of weight n, one per pair (j, a refinement of j)."""
     index = tuple(index)
     _check_bound(sum(index))
-    n = sum(index)
     terms = {}
-    for j in comps.all_compositions(n):
-        c = table(j).coeff(index)
+    for j in comps.coarsenings(index):
+        c = table(j).terms.get(index)
         if c:
             terms[j] = c
     return QSymElement(basis, terms)

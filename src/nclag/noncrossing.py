@@ -105,15 +105,26 @@ def is_noncrossing(blocks) -> bool:
 
 
 def to_text(p: NoncrossingPartition) -> str:
+    """Blocks joined by "|", each a digit string when n <= 9 and a comma
+    list otherwise, with a trailing comma on a lone element of two or more
+    digits (so "10," is the block {10}, not {1, 0})."""
     sep = "," if p.n > 9 else ""
-    return "|".join(sep.join(str(e) for e in b) for b in p.blocks)
+    return "|".join(
+        sep.join(map(str, b)) + ("," if len(b) == 1 and b[0] > 9 else "")
+        for b in p.blocks
+    )
 
 
 def from_text(text: str) -> NoncrossingPartition:
+    """Inverse of to_text; a block with a comma is a comma list, with an
+    optional trailing comma, and any other block a digit string."""
     blocks = []
     for chunk in text.strip().split("|"):
         if "," in chunk:
-            blocks.append(tuple(int(x) for x in chunk.split(",")))
+            pieces = chunk.split(",")
+            if not pieces[-1]:
+                pieces.pop()
+            blocks.append(tuple(int(x) for x in pieces))
         else:
             blocks.append(tuple(int(ch) for ch in chunk))
     n = max(e for b in blocks for e in b)

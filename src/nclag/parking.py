@@ -79,13 +79,16 @@ def ndpf_count_of_type(comp) -> int:
     if not comps.is_composition(comp):
         raise ValueError("type must be a composition")
     bounds = [1 + s for s in ([0] + list(itertools.accumulate(comp))[:-1])]
-
-    def count(i, prev):
-        if i == len(bounds):
-            return 1
-        return sum(count(i + 1, v) for v in range(prev + 1, bounds[i] + 1))
-
-    return count(0, 0)
+    # ways[v]: the choices of the values after v, filled from the last
+    # value back as suffix sums, so each (i, v) is added once
+    ways = [1] * (bounds[-1] + 1)
+    for bound in reversed(bounds):
+        after, total = [0] * len(ways), 0
+        for v in range(bound, 0, -1):
+            total += ways[v]
+            after[v - 1] = total
+        ways = after
+    return ways[0]
 
 
 def parkize(w):

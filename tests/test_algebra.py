@@ -61,7 +61,7 @@ def signed_generator(n):
 def test_l_s_edges_equal_the_product_of_signed_generators(source, target):
     for n in range(8):
         for i in comps.all_compositions(n):
-            want = algebra._monomial_into({}, i, signed_generator)
+            want = algebra._products_into({}, {i: 1}, signed_generator)
             got = convert(NSymElement.monomial(source, i), target)
             assert got == NSymElement(target, want)
             assert all(type(c) is int for c in got.terms.values())

@@ -96,6 +96,17 @@ def test_kreweras(capsys):
     assert out.strip() == "14|2|3|56|79|8"
 
 
+def test_kreweras_output_reads_back_for_n_of_two_digits(capsys):
+    # the complement of one block of 1..10 is ten singletons: "10" must read
+    # back as the element 10, not as the digits 1 and 0
+    code, out, _ = run(capsys, "kreweras", "--partition", ",".join(map(str, range(1, 11))))
+    assert code == 0
+    assert out.strip() == "1|2|3|4|5|6|7|8|9|10,"
+    code, out, _ = run(capsys, "kreweras", "--partition", out.strip())
+    assert code == 0
+    assert out.strip() == "1,2,3,4,5,6,7,8,9,10"
+
+
 def test_tree_rebuild_trace(capsys):
     code, out, _ = run(
         capsys,

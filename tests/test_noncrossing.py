@@ -107,6 +107,19 @@ def test_text_round_trip():
     assert nc.from_text(nc.to_text(p)) == p
 
 
+def test_text_of_a_lone_element_above_nine():
+    ones = nc.NoncrossingPartition.singletons(10)
+    assert nc.to_text(ones) == "1|2|3|4|5|6|7|8|9|10,"
+    assert nc.from_text(nc.to_text(ones)) == ones
+    p = nc.from_text("1,2,3,4,5,6,7,8,9,10,11|12,")
+    assert p.blocks == (tuple(range(1, 12)), (12,))
+    assert nc.to_text(p) == "1,2,3,4,5,6,7,8,9,10,11|12,"
+    # a lone single-digit element needs no comma
+    p = nc.from_text("1,2,3,4,5,6,8,9,10|7")
+    assert p.blocks[-1] == (7,)
+    assert nc.to_text(p) == "1,2,3,4,5,6,8,9,10|7"
+
+
 def test_permutation_encoding_round_trip():
     for p in nc.enumerate_nc(6):
         assert nc.permutation_to_nc(nc.nc_to_permutation(p)) == p

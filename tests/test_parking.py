@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -121,6 +122,14 @@ def test_biprofile_merge_worked_values():
     assert not parking.is_parking_biprofile(((), ()), ((2,), (1,)))
     assert not parking.is_parking_biprofile(((), ()), ((1, 3), (1, 1)))
     assert parking.is_parking_biprofile(((), ()), ((1, 3), (2, 1)))
+
+
+def test_type_count_table_equals_the_enumeration_tally():
+    assert parking.ndpf_count_of_type(()) == 1
+    for n in range(1, 10):
+        tally = Counter(parking.type_of(w) for w in parking.enumerate_ndpf(n))
+        for comp in comps.all_compositions(n):
+            assert parking.ndpf_count_of_type(comp) == tally[comp], comp
 
 
 def test_profile_encoding_worked_values():

@@ -1,7 +1,8 @@
 """Property-based tests of the noncrossing bijections, the crossing test,
 the composition codec and lattice walks, the basis conversions and their
 walk over the basis trees, the antipode, the scalar functional equation and
-tensors, on random inputs larger than the exhaustive tests reach."""
+tensors, the profile code, the compatible-pair bijection and tree
+rebuilding, on random inputs larger than the exhaustive tests reach."""
 
 import itertools
 import json
@@ -80,6 +81,37 @@ def test_kreweras_twice_is_a_rotation(w):
     n = p.n
     rotated = nc.NoncrossingPartition(n, [[(e - 2) % n + 1 for e in b] for b in p.blocks])
     assert nc.kreweras(nc.kreweras(p)) == rotated
+
+
+@MODEST
+@given(ndpf_words(max_n=12))
+@example((1,) * 10)
+@example((1,) * 11 + (12,))
+def test_noncrossing_text_round_trip(w):
+    # one block of 1..10 has ten singletons as its complement
+    p = nc.ndpf_to_nc(w)
+    for q in (p, nc.kreweras(p)):
+        assert nc.from_text(nc.to_text(q)) == q
+
+
+@st.composite
+def binary_trees(draw, max_n=12):
+    """A nonempty binary tree of up to max_n nodes, split at a random size
+    at each node."""
+
+    def build(n):
+        if not n:
+            return None
+        k = draw(st.integers(0, n - 1))
+        return nc.BinaryTree(build(k), build(n - 1 - k))
+
+    return build(draw(st.integers(1, max_n)))
+
+
+@MODEST
+@given(binary_trees())
+def test_rebuild_inverts_tau(t):
+    assert nc.rebuild_tree(*nc.tau(t)) == t
 
 
 @MODEST
@@ -172,6 +204,33 @@ def test_lattice_walks_equal_the_descent_set_reference(comp):
     assert comps.all_compositions(n) == reference_all_compositions(n)
     assert comps.coarsenings(comp) == reference_coarsenings(comp)
     assert comps.refinements(comp) == reference_refinements(comp)
+
+
+@MODEST
+@given(compositions(max_n=14))
+def test_profile_code_round_trip(comp):
+    assert parking.c_map(parking.c_inverse(comp), sum(comp)) == comp
+
+
+@MODEST
+@given(compositions(max_n=12).filter(bool), st.data())
+def test_dumb_bijection_inverts_on_compatible_pairs(i_comp, data):
+    j_comp = data.draw(st.sampled_from(parking.compatible_with(i_comp)))
+    w = parking.dumb_bijection(i_comp, j_comp)
+    assert parking.is_nondecreasing(w) and parking.is_parking(w)
+    assert parking.dumb_bijection_inverse(w) == (i_comp, j_comp)
+
+
+@MODEST
+@given(ndpf_words())
+def test_dumb_bijection_inverse_inverts_on_ndpfs(w):
+    assert parking.dumb_bijection(*parking.dumb_bijection_inverse(w)) == w
+
+
+@MODEST
+@given(compositions(max_n=14))
+def test_unmask_inverts_the_descent_mask(comp):
+    assert algebra._unmask(sum(comp), algebra._revlex_key(comp)) == comp
 
 
 @MODEST

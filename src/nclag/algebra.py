@@ -18,7 +18,8 @@ element once at the end.
 
 from __future__ import annotations
 
-import itertools
+from itertools import product, starmap
+from operator import add, mul
 
 from . import compositions as comps
 
@@ -270,86 +271,124 @@ def _ribbon_product(x, y):
 
 
 class TensorElement(_Element):
-    """A finite combination of basis-pair tensors with integer coefficients.
+    """A finite combination of tensors of k >= 1 NSym monomials with integer
+    coefficients.
 
-    The basis is the pair of leg bases and each index the pair (left,
-    right).  Both legs must be NSym bases, and all terms share the declared
-    pair; mixing bases inside one tensor is rejected so pairings cannot
-    silently go wrong.
+    The basis is the k-tuple of leg bases and each index the k-tuple of leg
+    compositions.  All terms share the declared bases; mixing bases inside
+    one tensor is rejected so pairings cannot silently go wrong.
     """
 
-    _bases = frozenset(itertools.product(NSYM_BASES, repeat=2))
-
     def __init__(self, bases, terms=None):
-        super().__init__(tuple(bases), terms)
+        # any number of legs, so the bases are checked here, not listed
+        bases = tuple(bases)
+        if not bases or not all(map(NSYM_BASES.__contains__, bases)):
+            raise BasisMismatch(f"unknown basis {bases!r} for TensorElement")
+        self.basis = bases
+        self.terms = _clean(terms) if terms else {}
 
     @classmethod
-    def monomial(cls, bases, left, right, coeff=1):
-        return cls(bases, {(tuple(left), tuple(right)): coeff})
+    def monomial(cls, bases, *legs, coeff=1):
+        return cls(bases, {tuple(map(tuple, legs)): coeff})
 
     @classmethod
     def one(cls, bases):
-        return cls(bases, {((), ()): 1})
+        return cls(bases, {((),) * len(bases): 1})
 
     def __mul__(self, other):
+        """Leg-wise concatenation of indices, on multiplicative bases."""
         self._check(other)
         if not all(b in _MULTIPLICATIVE for b in self.basis):
-            raise BasisMismatch("tensor product needs multiplicative bases on both legs")
-        terms = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                terms[k] = terms.get(k, 0) + a * b
-        return TensorElement(self.basis, terms)
+            raise BasisMismatch("tensor product needs multiplicative bases on every leg")
+        acc = {}
+        get = acc.get
+        # every pair of terms in order, leg by leg: the concatenations of one
+        # leg, the key tuples and the coefficients all come from C iterators
+        legs = [starmap(add, product(a, b)) for a, b in zip(zip(*self.terms), zip(*other.terms))]
+        coeffs = starmap(mul, product(self.terms.values(), other.terms.values()))
+        for k, c in zip(zip(*legs), coeffs):
+            acc[k] = get(k, 0) + c
+        return TensorElement._adopt(self.basis, acc)
 
-    def coeff(self, left, right) -> int:
-        return self.terms.get((tuple(left), tuple(right)), 0)
+    def coeff(self, *legs) -> int:
+        return self.terms.get(tuple(map(tuple, legs)), 0)
 
-    def swap(self):
+    def permute(self, order):
+        """The tensor whose leg m is leg order[m] of this one."""
+        if sorted(order) != list(range(len(self.basis))):
+            raise ValueError(f"{order!r} does not permute {len(self.basis)} legs")
         return TensorElement(
-            (self.basis[1], self.basis[0]),
-            {(j, i): c for (i, j), c in self.terms.items()},
+            [self.basis[m] for m in order],
+            {tuple(map(i.__getitem__, order)): c for i, c in self.terms.items()},
         )
 
-    def map_legs(self, fn_left, fn_right):
-        """Bilinear extension of per-leg maps returning NSymElements."""
-        out_terms = {}
-        bases = None
-        for (i, j), c in self.terms.items():
-            xl = fn_left(i)
-            xr = fn_right(j)
-            if bases is None:
-                bases = (xl.basis, xr.basis)
-            for il, cl in xl.terms.items():
-                for ir, cr in xr.terms.items():
-                    k = (il, ir)
-                    out_terms[k] = out_terms.get(k, 0) + c * cl * cr
-        return TensorElement(bases or self.basis, out_terms)
+    def split_leg(self, m):
+        """Delta on leg m, an S leg, so k legs become k + 1: S^I there becomes
+        the product over its parts p of Delta S_p = sum of S_a (x) S_(p-a)."""
+        if not 0 <= m < len(self.basis) or self.basis[m] != "S":
+            raise BasisMismatch(f"Delta splits an S leg, and leg {m} of {self.basis!r} is none")
+        acc = {}
+        get = acc.get
+        for index, c in self.terms.items():
+            head, tail = index[:m], index[m + 1 :]
+            # the left and the right pieces of every split, concatenated part
+            # by part; S_0 is the empty index
+            lefts, rights = [()], [()]
+            for p in index[m]:
+                pieces = [(a,) if a else () for a in range(p + 1)]
+                lefts = [l + a for l in lefts for a in pieces]
+                rights = [r + b for r in rights for b in reversed(pieces)]
+            for l, r in zip(lefts, rights):
+                k = (*head, l, r, *tail)
+                acc[k] = get(k, 0) + c
+        return TensorElement._adopt((*self.basis[:m], "S", "S", *self.basis[m + 1 :]), acc)
+
+    def map_legs(self, *fns):
+        """Multilinear extension of one map per leg, each sending a
+        composition to an NSymElement.  The legs are mapped one at a time,
+        so the terms that meet on a mapped leg merge before the next leg
+        expands."""
+        if len(fns) != len(self.basis):
+            raise ValueError(f"{len(fns)} maps for {len(self.basis)} legs")
+        bases, terms = list(self.basis), self.terms
+        for m, fn in enumerate(fns):
+            acc = {}
+            get = acc.get
+            for index, c in terms.items():
+                x = fn(index[m])
+                bases[m] = x.basis
+                head, tail = index[:m], index[m + 1 :]
+                for i, b in x.terms.items():
+                    k = (*head, i, *tail)
+                    acc[k] = get(k, 0) + c * b
+            terms = acc
+        return TensorElement._adopt(bases, terms)
 
     @staticmethod
     def _weight(index):
-        """The total weight of both legs."""
-        return sum(index[0]) + sum(index[1])
+        return sum(map(sum, index))
 
     def _sorted_terms(self):
-        # the two legs of one total weight w differ in weight from term to
-        # term, so each leg's descent word is ordered among words of any
-        # length up to w
+        # the legs of one total weight w differ in weight from term to term,
+        # so each leg's descent word is ordered among words of any length up
+        # to w
         def key(t):
             w = self._weight(t[0])
-            return (w, *_word_key(t[0][0], w), *_word_key(t[0][1], w))
+            out = [w]
+            for leg in t[0]:
+                out += _word_key(leg, w)
+            return out
 
         return sorted(self.terms.items(), key=key)
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bl, br = self.basis
         bits = []
-        for (i, j), c in self._sorted_terms():
-            li = "1" if not i else f"{bl}[{','.join(map(str, i))}]"
-            rj = "1" if not j else f"{br}[{','.join(map(str, j))}]"
-            mono = f"{li}(x){rj}"
+        for index, c in self._sorted_terms():
+            mono = "(x)".join(
+                f"{b}[{','.join(map(str, i))}]" if i else "1" for b, i in zip(self.basis, index)
+            )
             bits.append(mono if c == 1 else f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 
@@ -358,8 +397,8 @@ class TensorElement(_Element):
             "side": "tensor",
             "basis": list(self.basis),
             "terms": [
-                {"index": [list(i), list(j)], "coeff": str(c)}
-                for (i, j), c in self._sorted_terms()
+                {"index": list(map(list, index)), "coeff": str(c)}
+                for index, c in self._sorted_terms()
             ],
         }
 
@@ -546,17 +585,9 @@ def pair(q: QSymElement, f: NSymElement) -> int:
 
 
 def coproduct(x: NSymElement) -> TensorElement:
-    """Coproduct into S(x)S, from Delta S_n = sum_{i+j=n} S_i (x) S_j."""
-    # S^I splits into one S_a (x) S_(p-a) per part p; zero parts drop out
-    acc = {}
-    for i, c in convert(x, "S").terms.items():
-        for split in itertools.product(*(range(p + 1) for p in i)):
-            k = (
-                tuple(a for a in split if a),
-                tuple(p - a for p, a in zip(i, split) if p != a),
-            )
-            acc[k] = acc.get(k, 0) + c
-    return TensorElement(("S", "S"), acc)
+    """Coproduct into S(x)S: Delta on the one-leg tensor of x's S-expansion."""
+    s = convert(x, "S").terms
+    return TensorElement._adopt(("S",), {(i,): c for i, c in s.items()}).split_leg(0)
 
 
 def antipode(x: NSymElement) -> NSymElement:
@@ -628,15 +659,8 @@ def mirror_invariance_check(n: int, reading: str = "conjugate") -> bool:
 
 
 def element_from_json_dict(data):
-    if data["side"] == "tensor":
-        tt = {
-            (tuple(t["index"][0]), tuple(t["index"][1])): int(t["coeff"])
-            for t in data["terms"]
-        }
-        return TensorElement(tuple(data["basis"]), tt)
-    terms = {tuple(t["index"]): int(t["coeff"]) for t in data["terms"]}
-    if data["side"] == "nsym":
-        return NSymElement(data["basis"], terms)
-    if data["side"] == "qsym":
-        return QSymElement(data["basis"], terms)
-    raise ValueError(f"unknown side {data['side']!r}")
+    cls = {"nsym": NSymElement, "qsym": QSymElement, "tensor": TensorElement}.get(data["side"])
+    if cls is None:
+        raise ValueError(f"unknown side {data['side']!r}")
+    index = (lambda i: tuple(map(tuple, i))) if cls is TensorElement else tuple
+    return cls(data["basis"], {index(t["index"]): int(t["coeff"]) for t in data["terms"]})

@@ -108,6 +108,8 @@ def cmd_convert(args):
 
 def cmd_coproduct(args):
     if args.word is not None:
+        # 2^n splits for n distinct letters, each parkized in O(n^3)
+        lagrange._check_bound(len(args.word))
         cp = hopf.coproduct_P(args.word)
         items = sorted(cp.items())
         _emit_lazy(
@@ -461,14 +463,14 @@ def _suite_coproduct(max_n):
         b = hopf.delta_g_biprofiles(n)
         c = hopf.delta_g_noncrossing(n)
         yield f"coproduct routes agree, n={n}", a == b == c, {"n": n}
-        yield f"cocommutative, n={n}", hopf.cocommutativity_check(n), {"n": n}
+        yield f"cocommutative, n={n}", hopf.cocommutativity_check(a), {"n": n}
         yield f"coassociative, n={n}", hopf.coassociativity_check(n), {"n": n}
         yield (
             f"biprofile regrouping, n={n}",
             hopf.biprofile_regrouping_check(n),
             {"n": n},
         )
-        t = hopf.delta_g_commutative(n)
+        t = hopf.delta_g_commutative(c)
         w = hopf.delta_g_commutative_via_trees(n)
         yield f"commutative tree series, n={n}", t == w, {"n": n}
     if max_n >= 5:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import lagrange, noncrossing, parking
-from .algebra import NSymElement, TensorElement, coproduct as s_coproduct
+from .algebra import TensorElement, coproduct as s_coproduct
 
 
 def delta_g_algebraic(n) -> TensorElement:
@@ -53,10 +53,12 @@ def coproduct_witnesses(n, i_comp, j_comp):
 
 
 def delta_g_monomial(index) -> TensorElement:
-    """Coproduct of a G-basis monomial (multiplicative extension)."""
+    """Coproduct of a G-basis monomial (multiplicative extension), with one
+    coproduct per distinct part."""
+    factors = {p: delta_g_algebraic(p) for p in set(index)}
     out = TensorElement.one(("G", "G"))
     for p in index:
-        out = out * delta_g_algebraic(p)
+        out = out * factors[p]
     return out
 
 
@@ -128,17 +130,6 @@ def _poly_mul_into(acc, a, b):
     return acc
 
 
-def _poly_scale_marker_into(acc, poly, side, m):
-    """acc += poly times the marker of subscript m on one side, in place."""
-    for (u, v), c in poly.items():
-        if side == "u":
-            key = (tuple(sorted(u + (m,), reverse=True)), v)
-        else:
-            key = (u, tuple(sorted(v + (m,), reverse=True)))
-        acc[key] = acc.get(key, 0) + c
-    return acc
-
-
 def tree_series(N):
     """Degreewise solution of the coupled branch series: one series for
     trees with no right subtree at the root, one for no left subtree, and
@@ -162,8 +153,8 @@ def tree_series(N):
         ud = {}
         vd = {}
         for m in range(1, d + 1):
-            _poly_scale_marker_into(ud, power_component(V, m, d - m), "u", m)
-            _poly_scale_marker_into(vd, power_component(U, m, d - m), "v", m)
+            _poly_mul_into(ud, power_component(V, m, d - m), {((m,), ()): 1})
+            _poly_mul_into(vd, power_component(U, m, d - m), {((), (m,)): 1})
         U.append(ud)
         V.append(vd)
     W = []
@@ -175,18 +166,10 @@ def tree_series(N):
     return W
 
 
-def delta_g_commutative(n):
-    """Partition-level coproduct tally: sort both tensor indices of the
-    noncrossing route."""
-    tally = {}
-    t = delta_g_noncrossing(n)
-    for (i, j), c in t.terms.items():
-        key = (
-            tuple(sorted(i, reverse=True)),
-            tuple(sorted(j, reverse=True)),
-        )
-        tally[key] = tally.get(key, 0) + c
-    return tally
+def delta_g_commutative(t):
+    """Partition-level tally of a G(x)G coproduct such as
+    delta_g_noncrossing(n): both legs of every index sorted."""
+    return t.map_indices(lambda legs: [tuple(sorted(i, reverse=True)) for i in legs]).terms
 
 
 def delta_g_commutative_via_trees(n):
@@ -207,24 +190,14 @@ def tree_weight(t):
 # Structural checks
 
 
-def cocommutativity_check(n) -> bool:
-    t = delta_g_algebraic(n)
-    return t.swap() == t
+def cocommutativity_check(t) -> bool:
+    """Whether a two-leg tensor such as Delta g_n is fixed by swapping its
+    legs."""
+    return t.permute((1, 0)) == t
 
 
 def coassociativity_check(n) -> bool:
-    """(Delta x id) Delta = (id x Delta) Delta on g_n, compared on the
-    S-basis three-fold tensor (as nested dictionaries)."""
+    """(Delta x id) Delta = (id x Delta) Delta on g_n, compared on the S-basis
+    three-leg tensors."""
     t = s_coproduct(lagrange.g_component(n))
-    left = {}
-    right = {}
-    for (i, j), c in t.terms.items():
-        for (a, b), d in s_coproduct(NSymElement.monomial("S", i)).terms.items():
-            key = (a, b, j)
-            left[key] = left.get(key, 0) + c * d
-        for (a, b), d in s_coproduct(NSymElement.monomial("S", j)).terms.items():
-            key = (i, a, b)
-            right[key] = right.get(key, 0) + c * d
-    left = {k: v for k, v in left.items() if v}
-    right = {k: v for k, v in right.items() if v}
-    return left == right
+    return t.split_leg(0) == t.split_leg(1)

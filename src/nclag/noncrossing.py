@@ -502,19 +502,19 @@ def is_sprime_word(w) -> bool:
     )
 
 
-def s_to_sprime(w):
+def _reversal_complement(w, in_domain, side):
     """The reversal-complement bijection between the two word sets."""
-    if not is_s_word(w):
-        raise ValueError("word outside the source set")
-    n = len(w)
-    return tuple(n + 1 - v for v in reversed(w))
+    if not in_domain(w):
+        raise ValueError(f"word outside the {side} set")
+    return tuple(len(w) + 1 - v for v in reversed(w))
+
+
+def s_to_sprime(w):
+    return _reversal_complement(w, is_s_word, "source")
 
 
 def sprime_to_s(w):
-    if not is_sprime_word(w):
-        raise ValueError("word outside the target set")
-    n = len(w)
-    return tuple(n + 1 - v for v in reversed(w))
+    return _reversal_complement(w, is_sprime_word, "target")
 
 
 def word_to_path(w) -> str:

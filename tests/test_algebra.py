@@ -163,7 +163,7 @@ def test_series_symmetry_only_under_descent_complement():
 def test_json_round_trip():
     x = s_mono((2, 1), 5) - s_mono((3,), 2)
     assert element_from_json_dict(x.to_json_dict()) == x
-    t = TensorElement.monomial(("G", "G"), (1,), (2,), 3)
+    t = TensorElement.monomial(("G", "G"), (1,), (2,), coeff=3)
     assert element_from_json_dict(t.to_json_dict()) == t
 
 
@@ -186,6 +186,46 @@ def test_tensor_degree_is_the_weight_of_both_legs():
 
 def test_tensor_swap_and_product():
     t = TensorElement.monomial(("S", "S"), (1,), (2,))
-    assert t.swap() == TensorElement.monomial(("S", "S"), (2,), (1,))
+    assert t.permute((1, 0)) == TensorElement.monomial(("S", "S"), (2,), (1,))
     sq = t * t
     assert sq.coeff((1, 1), (2, 2)) == 1
+
+
+def test_tensor_bases_are_any_nonempty_tuple_of_nsym_bases():
+    with pytest.raises(BasisMismatch):
+        TensorElement(())
+    with pytest.raises(BasisMismatch):
+        TensorElement(("G", "M"))
+    with pytest.raises(BasisMismatch):
+        TensorElement.one(("S", "S", "S")) + TensorElement.one(("S", "G", "S"))
+    with pytest.raises(BasisMismatch):
+        TensorElement.one(("S",)) + TensorElement.one(("S", "S"))
+    assert TensorElement.one(["R", "L", "F"]).basis == ("R", "L", "F")
+
+
+def test_split_leg_turns_k_legs_into_k_plus_one():
+    t = TensorElement.monomial(("G", "S"), (1,), (2,))
+    split = t.split_leg(1)
+    assert split.basis == ("G", "S", "S")
+    assert split == TensorElement(
+        ("G", "S", "S"), {((1,), (), (2,)): 1, ((1,), (1,), (1,)): 1, ((1,), (2,), ()): 1}
+    )
+    assert coproduct(s_mono((2,))) == TensorElement.monomial(("S",), (2,)).split_leg(0)
+    for m in (0, 2, -1):
+        with pytest.raises(BasisMismatch):
+            t.split_leg(m)
+
+
+def test_three_leg_tensor_format():
+    t = TensorElement(("S", "G", "S"), {((1,), (), (2, 1)): -2, ((), (1,), ()): 1})
+    assert repr(t) == "1(x)G[1](x)1 - 2*S[1](x)1(x)S[2,1]"
+    assert t.to_json_dict() == {
+        "side": "tensor",
+        "basis": ["S", "G", "S"],
+        "terms": [
+            {"index": [[], [1], []], "coeff": "1"},
+            {"index": [[1], [], [2, 1]], "coeff": "-2"},
+        ],
+    }
+    assert t.coeff((1,), (), (2, 1)) == -2
+    assert t.map_legs(s_mono, s_mono, s_mono) == TensorElement(("S", "S", "S"), t.terms)

@@ -389,6 +389,8 @@ def test_incidence_values_at_degree_zero_is_one_value(capsys, function):
         ["convert", "--from", "L", "--to", "G", "--index", "9,9"],
         ["convert", "--from", "S", "--to", "L", "--index", "17,"],
         ["coproduct", "--index", "99999"],
+        # 2^11 splits of a word of 11 distinct letters
+        ["coproduct", "--word", "1,2,3,4,5,6,7,8,9,10,11"],
         ["antipode", "--index", "99999999", "--basis", "R"],
         ["compatible", "--index", "99999999999"],
         ["verify", "--suite", "factorization", "--max-n", "20"],
@@ -424,6 +426,7 @@ def test_listing_sizes_are_bounded_up_front(capsys, monkeypatch, argv):
         # refused by weight while every part is below the bound
         (["convert", "--from", "S", "--to", "L", "--index", "2,3"], 5),
         (["coproduct", "--index", "22"], 4),
+        (["coproduct", "--word", "11223"], 5),
         (["antipode", "--index", "13", "--basis", "R"], 4),
         (["compatible", "--index", "32"], 5),
         (["verify", "--suite", "bases", "--max-n", "3"], 3),

@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 from collections import Counter
 
 import pytest
 
-from nclag import compositions as comps, hopf, noncrossing as nc, parking
+from nclag import algebra, compositions as comps, hopf, lagrange, noncrossing as nc, parking
 
 
 def test_three_coproduct_routes_agree():
@@ -43,7 +44,7 @@ def test_witnesses_match_coefficients():
 
 def test_cocommutativity_and_coassociativity():
     for n in range(6):
-        assert hopf.cocommutativity_check(n)
+        assert hopf.cocommutativity_check(hopf.delta_g_algebraic(n))
         assert hopf.coassociativity_check(n)
 
 
@@ -104,7 +105,8 @@ def test_multiplicity_free_term_counts():
 
 def test_commutative_image_two_routes():
     for n in range(6):
-        assert hopf.delta_g_commutative(n) == hopf.delta_g_commutative_via_trees(n)
+        t = hopf.delta_g_noncrossing(n)
+        assert hopf.delta_g_commutative(t) == hopf.delta_g_commutative_via_trees(n)
 
 
 def test_tree_weight_of_worked_example():
@@ -125,3 +127,32 @@ def test_every_route_rejects_a_negative_degree():
     for route in (hopf.delta_g_algebraic, hopf.delta_g_biprofiles, hopf.delta_g_noncrossing):
         with pytest.raises(ValueError, match="nonnegative"):
             route(-1)
+
+
+def test_two_leg_format_is_pinned():
+    t = hopf.delta_g_algebraic(3)
+    assert repr(t) == (
+        "4*G[1](x)G[2] + 1(x)G[3] + 2*G[1](x)G[1,1] + 4*G[2](x)G[1] + G[3](x)1"
+        " + 2*G[1,1](x)G[1]"
+    )
+    assert json.dumps(t.to_json_dict()) == (
+        '{"side": "tensor", "basis": ["G", "G"], "terms": ['
+        '{"index": [[1], [2]], "coeff": "4"}, {"index": [[], [3]], "coeff": "1"}, '
+        '{"index": [[1], [1, 1]], "coeff": "2"}, {"index": [[2], [1]], "coeff": "4"}, '
+        '{"index": [[3], []], "coeff": "1"}, {"index": [[1, 1], [1]], "coeff": "2"}]}'
+    )
+
+
+def test_coassociativity_compares_three_leg_tensors():
+    t = algebra.coproduct(lagrange.g_component(3))
+    left, right = t.split_leg(0), t.split_leg(1)
+    assert left.basis == right.basis == ("S", "S", "S")
+    assert left == right
+    # Delta twice on S_3: one S_a (x) S_b (x) S_c for each a + b + c = 3
+    s3 = algebra.TensorElement.monomial(("S",), (3,)).split_leg(0)
+    want = {
+        tuple((p,) if p else () for p in abc): 1
+        for abc in itertools.product(range(4), repeat=3)
+        if sum(abc) == 3
+    }
+    assert s3.split_leg(0).terms == s3.split_leg(1).terms == want

@@ -372,5 +372,58 @@ def test_tensor_terms_sort_by_total_weight_then_each_leg_descent_word(t):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["S", "G", "R"]).flatmap(tensors))
 def test_tensor_swap_and_json_round_trips(t):
-    assert t.swap().swap() == t
+    assert t.permute((1, 0)).permute((1, 0)) == t
     assert algebra.element_from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
+
+
+@st.composite
+def s_elements(draw, max_weight=5):
+    """S-basis elements of weight at most `max_weight`, a few random terms."""
+    weights = st.integers(0, max_weight)
+    index = weights.flatmap(lambda d: st.sampled_from(comps.all_compositions(d)))
+    return NSymElement("S", draw(st.dictionaries(index, st.integers(-9, 9), max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(s_elements())
+def test_delta_on_either_leg_of_a_coproduct_agrees(x):
+    t = algebra.coproduct(x)
+    assert t.split_leg(0) == t.split_leg(1)
+
+
+@st.composite
+def k_leg_tensors(draw, k, max_degree=3):
+    """Tensors with k legs on random NSym bases and a few random terms."""
+    bases = draw(st.tuples(*[st.sampled_from(algebra.NSYM_BASES)] * k))
+    legs = st.integers(0, max_degree).flatmap(lambda d: st.sampled_from(comps.all_compositions(d)))
+    terms = draw(st.dictionaries(st.tuples(*[legs] * k), st.integers(-9, 9), max_size=4))
+    return TensorElement(bases, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_leg_tensors(3), st.permutations(range(3)), st.permutations(range(3)))
+def test_leg_permutations_compose_and_invert(t, p, q):
+    # leg m of t.permute(p) is leg p[m] of t
+    s = t.permute(p)
+    assert s.basis == tuple(t.basis[m] for m in p)
+    assert all(s.coeff(*(i[m] for m in p)) == c for i, c in t.terms.items())
+    assert s.permute(q) == t.permute([p[m] for m in q])
+    assert s.permute(sorted(range(3), key=p.__getitem__)) == t
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_k_leg_tensor_json_round_trips(k, data):
+    t = data.draw(k_leg_tensors(k))
+    assert algebra.element_from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_leg_tensors(3, max_degree=4))
+def test_three_leg_terms_sort_by_total_weight_then_each_leg_descent_word(t):
+    want = sorted(
+        t.terms.items(),
+        key=lambda kv: (t._weight(kv[0]), *map(descent_word, kv[0])),
+    )
+    assert t._sorted_terms() == want

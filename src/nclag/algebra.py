@@ -371,12 +371,14 @@ class TensorElement(_Element):
     def _sorted_terms(self):
         # the legs of one total weight w differ in weight from term to term,
         # so each leg's descent word is ordered among words of any length up
-        # to w
+        # to w; the legs' weights come last, to part () from (1,), whose
+        # descent words are both empty, and to move no other term
         def key(t):
             w = self._weight(t[0])
             out = [w]
             for leg in t[0]:
                 out += _word_key(leg, w)
+            out += map(sum, t[0])
             return out
 
         return sorted(self.terms.items(), key=key)

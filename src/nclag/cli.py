@@ -108,7 +108,7 @@ def cmd_convert(args):
 
 def cmd_coproduct(args):
     if args.word is not None:
-        # 2^n splits for n distinct letters, each parkized in O(n^3)
+        # 2^n splits for n distinct letters, each parkized in one pass
         lagrange._check_bound(len(args.word))
         cp = hopf.coproduct_P(args.word)
         items = sorted(cp.items())

@@ -103,9 +103,13 @@ def biprofile_regrouping_check(n) -> bool:
     biprofile must yield each parking biprofile exactly once per class
     representative count, and the class set matches the enumeration."""
     seen = set()
+    profiles = {}  # at n = 10: 8.06M lookups of 58,786 distinct words
     for pi in parking.enumerate_ndpf(n):
         for u, v in unparkized_terms(pi):
-            seen.add((parking.profile(u), parking.profile(v)))
+            for x in (u, v):
+                if x not in profiles:
+                    profiles[x] = parking.profile(x)
+            seen.add((profiles[u], profiles[v]))
     return seen == set(parking.enumerate_parking_biprofiles(n))
 
 

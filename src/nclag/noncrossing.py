@@ -14,9 +14,9 @@ from . import compositions as comps, parking
 
 
 class NoncrossingPartition:
-    """A noncrossing partition of 1..n.  The constructor checks that the
-    blocks partition 1..n and that they do not cross, each in one pass over
-    1..n (the lemma behind the crossing test is in `_blocks_noncrossing`).
+    """A noncrossing partition of 1..n.  The constructor sorts its input,
+    rejects empty and repeated elements, then runs `_check`, the validator
+    that every partition, built here or by `_checked`, passes.
     """
 
     __slots__ = ("n", "blocks")
@@ -32,10 +32,7 @@ class NoncrossingPartition:
                 if not 1 <= e <= n or owner[e] is not None:
                     raise ValueError("blocks must partition 1..n")
                 owner[e] = k
-        if None in owner[1:]:
-            raise ValueError("blocks must partition 1..n")
-        if not _blocks_noncrossing(blocks, owner, range(1, n + 1)):
-            raise ValueError("blocks are crossing")
+        _check(n, blocks, owner)
         self.n = n
         self.blocks = blocks
 
@@ -65,6 +62,24 @@ class NoncrossingPartition:
     @classmethod
     def one_block(cls, n):
         return cls(n, [tuple(range(1, n + 1))])
+
+
+def _check(n, blocks, owner):
+    """Raise unless increasing blocks, ordered by their minima, partition
+    1..n and do not cross (`_blocks_noncrossing`); ``owner[e]`` is the
+    index of e's block, None if e has none."""
+    if None in owner[1:] or sum(map(len, blocks)) != n:
+        raise ValueError("blocks must partition 1..n")
+    if not _blocks_noncrossing(blocks, owner, range(1, n + 1)):
+        raise ValueError("blocks are crossing")
+
+
+def _checked(n, blocks, owner) -> NoncrossingPartition:
+    """`_check`, then the partition, without the constructor's sorting."""
+    _check(n, blocks, owner)
+    p = object.__new__(NoncrossingPartition)
+    p.n, p.blocks = n, blocks
+    return p
 
 
 def _blocks_noncrossing(blocks, owner, elements) -> bool:
@@ -137,29 +152,34 @@ def from_text(text: str) -> NoncrossingPartition:
 
 def ndpf_to_nc(w) -> NoncrossingPartition:
     """Decode a word whose letters are block minima with multiplicities the
-    block sizes; non-minima fill the innermost open block."""
+    block sizes; non-minima fill the innermost open block, k, which has
+    ``left`` elements to place; the stack holds (k, left) of those below."""
     w = tuple(w)
     if not parking.is_nondecreasing(w) or not parking.is_parking(w):
         raise ValueError("word must be a nondecreasing parking function")
     n = len(w)
-    counts = Counter(w)
-    blocks = {}
-    remaining = {}
+    counts = [0] * (n + 1)
+    for v in w:
+        counts[v] += 1
+    blocks = []
+    owner = [None] * (n + 1)
     stack = []
+    k, left = None, 0
     for e in range(1, n + 1):
-        if counts.get(e):
-            blocks[e] = [e]
-            remaining[e] = counts[e] - 1
-            stack.append(e)
+        if counts[e]:
+            if left:
+                stack.append((k, left))
+            k, left = len(blocks), counts[e] - 1
+            blocks.append([e])
         else:
-            while stack and remaining[stack[-1]] == 0:
-                stack.pop()
-            if not stack:
-                raise ValueError("letters are not block minima")
-            m = stack[-1]
-            blocks[m].append(e)
-            remaining[m] -= 1
-    return NoncrossingPartition(n, list(blocks.values()))
+            while not left:
+                if not stack:
+                    raise ValueError("letters are not block minima")
+                k, left = stack.pop()
+            blocks[k].append(e)
+            left -= 1
+        owner[e] = k
+    return _checked(n, tuple(map(tuple, blocks)), owner)
 
 
 def nc_to_ndpf(p: NoncrossingPartition):
@@ -172,7 +192,7 @@ def enumerate_nc(n):
 
 
 # ---------------------------------------------------------------------------
-# Kreweras complement via the permutation product
+# Kreweras complement
 
 
 def nc_to_permutation(p: NoncrossingPartition):
@@ -213,23 +233,39 @@ def permutation_to_nc(w) -> NoncrossingPartition:
 
 
 def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
-    """The Kreweras complement: cycles of the inverse permutation composed
-    with the long cycle (long cycle applied first)."""
+    """The Kreweras complement: the cycles of K = w^-1 c (c applied first),
+    K(i) = the predecessor of i mod n + 1 in its block, taken cyclically.
+    Walked from each unseen start in increasing order, they are the sorted
+    blocks; a revisit, or a cycle not increasing from its minimum, means
+    they are not (`nc_to_permutation` would differ from K): ArithmeticError.
+    """
     n = p.n
-    w = nc_to_permutation(p)
-    winv = [0] * n
-    for i in range(1, n + 1):
-        winv[w[i - 1] - 1] = i
-    prod = [winv[i % n] for i in range(1, n + 1)]
-    out = permutation_to_nc(prod)
-    # noncrossing by theory; the constructor re-validates, but make the
-    # cycle traversal consistency explicit too
-    if nc_to_permutation(out) != prod:
-        raise ArithmeticError(
-            f"the blocks of the Kreweras complement of {to_text(p)} are not "
-            "the cycles of its permutation"
-        )
-    return out
+    prev = [0] * (n + 1)
+    for b in p.blocks:
+        a = b[-1]
+        for e in b:
+            prev[e] = a
+            a = e
+    owner = [None] * (n + 1)
+    blocks = []
+    for start in range(1, n + 1):
+        if owner[start] is not None:
+            continue
+        k = len(blocks)
+        owner[start] = k
+        cyc = [start]
+        e = prev[start % n + 1]
+        while e != start:
+            if e < cyc[-1] or owner[e] is not None:
+                raise ArithmeticError(
+                    f"the blocks of the Kreweras complement of {to_text(p)} "
+                    "are not the cycles of its permutation"
+                )
+            owner[e] = k
+            cyc.append(e)
+            e = prev[e % n + 1]
+        blocks.append(tuple(cyc))
+    return _checked(n, tuple(blocks), owner)
 
 
 # ---------------------------------------------------------------------------

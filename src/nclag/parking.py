@@ -94,23 +94,22 @@ def ndpf_count_of_type(comp) -> int:
 def parkize(w):
     """The parking function canonically below a nondecreasing word.
 
-    Repeatedly find the smallest k whose prefix bound fails (fewer than k
-    letters are <= k) and shift every letter above k down by one.  The
-    uniform shift preserves equalities between letters; parking functions
-    are fixed points.
+    By definition: repeatedly find the smallest k whose prefix bound fails
+    (fewer than k letters are <= k) and shift every letter above k down by
+    one.  The uniform shift preserves equalities between letters; parking
+    functions are fixed points.  The result is one pass: with
+    out_0 = w_0 = 0, out_i = min(out_(i-1) + w_i - w_(i-1), i), each letter
+    keeping its step from the one before unless that passes the bound i.
     """
     if not is_nondecreasing(w):
         raise ValueError("word must be nondecreasing")
-    out = list(w)
-    n = len(out)
-    while True:
-        k = next(
-            (k for k in range(1, n + 1) if sum(1 for v in out if v <= k) < k),
-            None,
-        )
-        if k is None:
-            return tuple(out)
-        out = [v - 1 if v > k else v for v in out]
+    out = []
+    o = last = 0
+    for i, v in enumerate(w, 1):
+        o = min(o + v - last, i)
+        last = v
+        out.append(o)
+    return tuple(out)
 
 
 def _max_parking_prefix(w):

@@ -216,6 +216,21 @@ def test_split_leg_turns_k_legs_into_k_plus_one():
             t.split_leg(m)
 
 
+def test_three_leg_term_order_does_not_depend_on_insertion_order():
+    # the first three terms tie on every leg's descent word
+    terms = {
+        ((1,), (1,), ()): 1,
+        ((1,), (), (1,)): 2,
+        ((), (1,), (1,)): 3,
+        ((), (2,), ()): 4,
+    }
+    a = TensorElement(("S", "S", "S"), terms)
+    b = TensorElement(("S", "S", "S"), dict(reversed(terms.items())))
+    want = "3*1(x)S[1](x)S[1] + 2*S[1](x)1(x)S[1] + S[1](x)S[1](x)1 + 4*1(x)S[2](x)1"
+    assert repr(a) == repr(b) == want
+    assert a.to_json_dict() == b.to_json_dict()
+
+
 def test_three_leg_tensor_format():
     t = TensorElement(("S", "G", "S"), {((1,), (), (2, 1)): -2, ((), (1,), ()): 1})
     assert repr(t) == "1(x)G[1](x)1 - 2*S[1](x)1(x)S[2,1]"

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -576,3 +579,20 @@ def test_bad_input_is_exit_two(capsys, argv):
     code, _, err = outcome(capsys, argv)
     assert code == 2
     assert "error" in err
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "nclag", *argv], env=env, capture_output=True, text=True
+        )
+
+    ok = run_module("--json", "enumerate", "--what", "nc", "--n", "3")
+    assert ok.returncode == 0
+    assert len(json.loads(ok.stdout)["items"]) == 5
+    bad = run_module("enumerate", "--what", "nc")
+    assert bad.returncode == 2
+    assert "Traceback" not in bad.stderr

@@ -15,6 +15,21 @@ def test_three_coproduct_routes_agree():
         assert a == hopf.delta_g_noncrossing(n)
 
 
+def test_three_coproduct_routes_print_the_same_terms_in_the_same_order():
+    # legs () and (1,) share the empty descent word; their weights part them
+    for n in range(9):
+        outs = {
+            (repr(t), json.dumps(t.to_json_dict()))
+            for t in (
+                hopf.delta_g_algebraic(n),
+                hopf.delta_g_biprofiles(n),
+                hopf.delta_g_noncrossing(n),
+            )
+        }
+        assert len(outs) == 1
+    assert repr(hopf.delta_g_noncrossing(1)) == "1(x)G[1] + G[1](x)1"
+
+
 def test_cubic_coproduct_display():
     t = hopf.delta_g_algebraic(3)
     assert t.coeff((3,), ()) == 1

@@ -277,15 +277,46 @@ def test_enumeration_rejects_negative_size():
         nc.enumerate_nc(-1)
 
 
-def test_kreweras_rejects_a_complement_that_loses_its_cycles(monkeypatch):
-    # a cycle walk that always answers "all singletons" breaks the check
-    # for any partition whose complement is not the identity
-    def singletons(w):
-        return nc.NoncrossingPartition(len(w), [[i] for i in range(1, len(w) + 1)])
+def test_kreweras_rejects_a_complement_that_loses_its_cycles():
+    # the walk reads the predecessor of each element from the blocks; blocks
+    # that bypass the constructor corrupt it, so that a cycle decreases
+    # (1 -> 3 -> 2 under a block listed as 1, 3, 2) or meets a finished
+    # cycle (2 -> 4 after the cycle 1 -> 4)
+    for n, blocks in [(3, ((1, 3, 2),)), (4, ((1,), (4, 2), (4, 3)))]:
+        p = object.__new__(nc.NoncrossingPartition)
+        p.n, p.blocks = n, blocks
+        with pytest.raises(ArithmeticError):
+            nc.kreweras(p)
 
-    monkeypatch.setattr(nc, "permutation_to_nc", singletons)
-    with pytest.raises(ArithmeticError):
-        nc.kreweras(nc.from_text("1|2|3"))
+
+def kreweras_by_permutation_product(p):
+    """Reference: the cycles of w^-1 c, the long cycle applied first."""
+    n = p.n
+    w = nc.nc_to_permutation(p)
+    winv = [0] * n
+    for i in range(1, n + 1):
+        winv[w[i - 1] - 1] = i
+    return nc.permutation_to_nc([winv[i % n] for i in range(1, n + 1)])
+
+
+def test_kreweras_walk_equals_the_permutation_product():
+    for n in range(0, 11):
+        for p in nc.enumerate_nc(n):
+            assert nc.kreweras(p).blocks == kreweras_by_permutation_product(p).blocks
+
+
+def test_built_partitions_equal_the_public_constructor():
+    for n in range(0, 10):
+        for p in nc.enumerate_nc(n):
+            for q in (p, nc.kreweras(p)):
+                assert type(q.blocks) is tuple and all(type(b) is tuple for b in q.blocks)
+                assert q == nc.NoncrossingPartition(n, q.blocks)
+
+
+@pytest.mark.parametrize("w", [(2,), (1, 3, 3), (2, 2), (2, 1), (1, 2, 1), (0, 1)])
+def test_decoding_rejects_words_that_are_not_nondecreasing_parking(w):
+    with pytest.raises(ValueError, match="nondecreasing parking function"):
+        nc.ndpf_to_nc(w)
 
 
 def test_tree_phi_rejects_branches_that_are_not_complements(monkeypatch):

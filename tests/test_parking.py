@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -51,11 +52,34 @@ def test_parkization_worked_values():
     assert parking.parkize((2, 2, 3, 5)) == (1, 1, 2, 4)
 
 
+def parkize_by_shifts(w):
+    """Reference: while the smallest k with fewer than k letters <= k
+    exists, shift every letter above k down by one."""
+    out = list(w)
+    while True:
+        k = next(
+            (k for k in range(1, len(out) + 1) if sum(1 for v in out if v <= k) < k),
+            None,
+        )
+        if k is None:
+            return tuple(out)
+        out = [v - 1 if v > k else v for v in out]
+
+
+def test_one_pass_parkization_equals_the_shifting_loop_on_short_words():
+    for n in range(8):
+        for w in itertools.combinations_with_replacement(range(1, 11), n):
+            assert parking.parkize(w) == parkize_by_shifts(w)
+
+
+def test_parkization_rejects_a_decreasing_word():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        parking.parkize((2, 1))
+
+
 def test_parkization_fixes_parking_functions_and_keeps_equalities():
     for w in parking.enumerate_ndpf(5):
         assert parking.parkize(w) == w
-    import itertools
-
     for w in itertools.combinations_with_replacement(range(1, 7), 4):
         p = parking.parkize(w)
         assert parking.is_parking(p)

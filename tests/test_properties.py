@@ -15,6 +15,7 @@ from nclag import algebra, compositions as comps, incidence as inc, noncrossing 
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
 from test_noncrossing import crosses_pairwise
+from test_parking import parkize_by_shifts
 
 MODEST = settings(max_examples=150, deadline=None)
 
@@ -359,12 +360,16 @@ def descent_word(comp):
 @given(tensors(max_degree=4))
 # left legs of weights 0 and 1 share the empty word: the right legs decide
 @example(TensorElement(("S", "S"), {((), (2,)): 1, ((1,), (1,)): 1, ((), (1, 1)): 1}))
+# ... and when the right legs share theirs too, the leg weights decide
+@example(TensorElement(("S", "S"), {((1,), ()): 1, ((), (1,)): 1}))
 def test_tensor_terms_sort_by_total_weight_then_each_leg_descent_word(t):
     # the legs of one total weight differ in weight, so their descent words
-    # differ in length: a prefix sorts first
+    # differ in length: a prefix sorts first; the leg weights break ties
     want = sorted(
         t.terms.items(),
-        key=lambda kv: (t._weight(kv[0]), descent_word(kv[0][0]), descent_word(kv[0][1])),
+        key=lambda kv: (
+            t._weight(kv[0]), descent_word(kv[0][0]), descent_word(kv[0][1]), *map(sum, kv[0])
+        ),
     )
     assert t._sorted_terms() == want
 
@@ -419,11 +424,17 @@ def test_k_leg_tensor_json_round_trips(k, data):
     assert algebra.element_from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 40), max_size=24).map(sorted))
+def test_one_pass_parkization_equals_the_shifting_loop(w):
+    assert parking.parkize(w) == parkize_by_shifts(w)
+
+
 @settings(max_examples=60, deadline=None)
 @given(k_leg_tensors(3, max_degree=4))
 def test_three_leg_terms_sort_by_total_weight_then_each_leg_descent_word(t):
     want = sorted(
         t.terms.items(),
-        key=lambda kv: (t._weight(kv[0]), *map(descent_word, kv[0])),
+        key=lambda kv: (t._weight(kv[0]), *map(descent_word, kv[0]), *map(sum, kv[0])),
     )
     assert t._sorted_terms() == want

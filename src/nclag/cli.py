@@ -284,7 +284,7 @@ def cmd_tree(args):
         }
         lines = [repr(t)]
         if args.trace:
-            payload["trace"] = trace
+            payload["trace"] = [[label, repr(tree)] for label, tree in trace]
             lines.extend(str(step) for step in trace)
         _emit(args, payload, "\n".join(lines))
         return 0
@@ -561,10 +561,17 @@ def _suite_factorization(max_n):
         for i in comps.all_compositions(n):
             if comps.weight(i) + len(i) > 8:
                 continue
+            bad = factorization.coproduct_mismatch(i)
+            witness = {"index": list(i)}
+            if bad is not None:
+                j, k, count, coeff = bad
+                witness.update(
+                    left=list(j), right=list(k), factorizations=count, coefficient=coeff
+                )
             yield (
                 f"factorization counts match coproduct, I={comps.to_text(i)}",
-                factorization.verify_coproduct_match(i),
-                {"index": list(i)},
+                bad is None,
+                witness,
             )
 
 

@@ -151,27 +151,55 @@ def count_minimal_factorizations(i_comp, j_comp, k_comp) -> int:
     return len(canonical_factorizations(i_comp, j_comp, k_comp))
 
 
+def factorization_tally(i_comp) -> Counter:
+    """Minimal factorizations of the canonical permutation of reduced type
+    I, counted by the reduced ordered cycle types (J, K) of their factors.
+
+    One walk for every J together: by the `_minimal_pairs` lemma the
+    candidates alpha are the permutations whose cycles lie inside the
+    cycles of sigma.  These are consecutive runs, so alpha's one-line form
+    is a chain of one rearrangement of each run.
+    """
+    sigma = _bounded_canonical_permutation(i_comp)
+    runs = noncrossing.cycles_of(sigma)
+    m = len(sigma)
+    lt_sigma = m - len(runs)
+    inv = [0] * m
+    tally = Counter()
+    for images in itertools.product(*map(itertools.permutations, runs)):
+        alpha = list(itertools.chain.from_iterable(images))
+        for x, a in enumerate(alpha, 1):
+            inv[a - 1] = x
+        alpha_cycles = noncrossing.cycles_of(alpha)
+        beta_cycles = noncrossing.cycles_of([inv[s - 1] for s in sigma])
+        if 2 * m - len(alpha_cycles) - len(beta_cycles) == lt_sigma:
+            tally[
+                comps.reduce_parts(map(len, alpha_cycles)),
+                comps.reduce_parts(map(len, beta_cycles)),
+            ] += 1
+    return tally
+
+
+def coproduct_mismatch(i_comp):
+    """The first (J, K) in sorted order where the factorization count of
+    the canonical permutation of type I differs from the coefficient of
+    G^J (x) G^K in the coproduct of G^I, as (J, K, count, coefficient);
+    None when they all agree."""
+    i_comp = tuple(i_comp)
+    tally = factorization_tally(i_comp)
+    coeffs = hopf.delta_g_monomial(i_comp).terms
+    if tally == coeffs:
+        return None
+    j, k = min(
+        key for key in tally.keys() | coeffs.keys() if tally[key] != coeffs.get(key, 0)
+    )
+    return j, k, tally[j, k], coeffs.get((j, k), 0)
+
+
 def verify_coproduct_match(i_comp) -> bool:
     """Factorization counts of the canonical permutation must equal the
-    tensor coefficients of the coproduct of the matching G-basis monomial.
-
-    One pass per left type J tallies the reduced type of beta over every
-    minimal factorization; the tally then answers every right type K.
-    """
-    i_comp = tuple(i_comp)
-    sigma = _bounded_canonical_permutation(i_comp)
-    delta = hopf.delta_g_monomial(i_comp)
-    n = comps.weight(i_comp)
-    for a in range(n + 1):
-        for j in comps.all_compositions(a):
-            tally = Counter(
-                reduced_ordered_cycle_type(beta)
-                for _, beta in _minimal_pairs(sigma, j)
-            )
-            for k in comps.all_compositions(n - a):
-                if tally[k] != delta.coeff(j, k):
-                    return False
-    return True
+    tensor coefficients of the coproduct of the matching G-basis monomial."""
+    return coproduct_mismatch(i_comp) is None
 
 
 def partition_tally(sigma):

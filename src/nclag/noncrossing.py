@@ -434,34 +434,23 @@ def _freeze(node):
     return BinaryTree(_freeze(node.left), _freeze(node.right))
 
 
-def _first_unmarked(root):
-    """(node, side) for the first unmarked node in infix order; the root
-    counts as a left child."""
-    found = []
-
-    def walk(nd, side):
-        if nd is None or found:
-            return
-        walk(nd.left, "L")
-        if found:
-            return
-        if not nd.marked:
-            found.append((nd, side))
-            return
-        walk(nd.right, "R")
-
-    walk(root, "L")
-    return found[0] if found else None
-
-
 def rebuild_tree(i_comp, j_comp, trace=None):
     """Rebuild the unique tree whose ordered left-branch lengths are I and
     right-branch lengths are J, gluing one branch per step.
 
-    A glued branch of size p marks its attachment node and adds p-1 new
-    nodes; size-1 parts only mark.  Incompatible inputs raise
-    RebuildFailure carrying the failing step index; a part below 1 is not
-    a branch length at all and raises a plain ValueError.
+    Each step takes the first unmarked node in infix order (the root counts
+    as a left child): a left child gets the next right branch, a right
+    child the next left branch.  A glued branch of size p marks its
+    attachment node and adds p-1 new nodes; size-1 parts only mark.
+    Incompatible inputs raise RebuildFailure carrying the failing step
+    index; a part below 1 is not a branch length at all and raises a plain
+    ValueError.
+
+    One infix walk, resumed after each step, finds every attachment node.
+    Glued nodes are new, and unmarked nodes have no child on the glued
+    side, so a branch is glued where the walk has not yet been: a right
+    branch is the found node's right subtree, which the walk enters next;
+    a left branch is its left subtree, which the walk enters again.
     """
     i_parts = list(i_comp)
     j_parts = list(j_comp)
@@ -480,34 +469,43 @@ def rebuild_tree(i_comp, j_comp, trace=None):
     i_used, j_used = 1, 0
     if trace is not None:
         trace.append((f"i1={i_parts[0]}", _freeze(root)))
+    stack = []  # (node, side) of the nodes whose left subtree is being walked
+
+    def descend(node, side):
+        while node is not None:
+            stack.append((node, side))
+            node, side = node.left, "L"
+
+    descend(root, "L")
     while True:
         step += 1
-        spot = _first_unmarked(root)
-        if spot is None:
+        while stack and stack[-1][0].marked:
+            descend(stack.pop()[0].right, "R")
+        if not stack:
             break
-        node, side = spot
+        node, side = stack.pop()
+        node.marked = True
+        cur = node
         if side == "L":
             if j_used >= len(j_parts):
                 raise RebuildFailure("ran out of right-branch parts", step)
             size = j_parts[j_used]
             j_used += 1
             label = f"j{j_used}={size}"
-            node.marked = True
-            cur = node
             for _ in range(size - 1):
                 cur.right = _Node()
                 cur = cur.right
+            descend(node.right, "R")
         else:
             if i_used >= len(i_parts):
                 raise RebuildFailure("ran out of left-branch parts", step)
             size = i_parts[i_used]
             i_used += 1
             label = f"i{i_used}={size}"
-            node.marked = True
-            cur = node
             for _ in range(size - 1):
                 cur.left = _Node()
                 cur = cur.left
+            descend(node, side)
         if trace is not None:
             trace.append((label, _freeze(root)))
     if i_used < len(i_parts) or j_used < len(j_parts):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from nclag import algebra, cli, compositions as comps, lagrange
+from nclag import algebra, cli, compositions as comps, hopf, lagrange
 
 
 def run(capsys, *argv):
@@ -126,6 +126,17 @@ def test_tree_rebuild_trace(capsys):
     assert len(lines) == 14  # final tree plus 13 steps
 
 
+def test_tree_rebuild_trace_json(capsys):
+    argv = ["tree", "rebuild", "--left", "312321", "--right", "1312212", "--trace"]
+    _, text, _ = run(capsys, *argv)
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 0
+    assert err == ""
+    trace = json.loads(out)["trace"]
+    assert [f"({label!r}, {tree})" for label, tree in trace] == text.splitlines()[1:]
+    assert trace[0] == ["i1=3", "(((.).).)"]
+
+
 def test_tree_rebuild_failure_exit_code(capsys):
     code, out, _ = run(capsys, "tree", "rebuild", "--left", "12", "--right", "12")
     assert code == 1
@@ -229,6 +240,37 @@ def test_verify_json_times_each_case_from_the_previous_one(capsys, monkeypatch):
     assert [slow["case"], quick["case"]] == ["slow case", "quick case"]
     assert slow["seconds"] >= 0.05 > quick["seconds"] >= 0
     assert report["seconds"] >= slow["seconds"]
+
+
+def test_factorization_failure_names_the_first_differing_pair(capsys, monkeypatch):
+    true = hopf.delta_g_monomial
+    terms = dict(true((2, 1)).terms)
+    first, last = sorted(terms)[1], sorted(terms)[-1]
+    count = terms[first]
+    terms[first] += 2
+    terms[last] = 0
+
+    def corrupted(index):
+        if tuple(index) == (2, 1):
+            return algebra.TensorElement(("G", "G"), terms)
+        return true(index)
+
+    monkeypatch.setattr(hopf, "delta_g_monomial", corrupted)
+    code, out, _ = run(
+        capsys, "--json", "verify", "--suite", "factorization", "--max-n", "3"
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["failed"] == 1
+    (bad,) = [c for r in data["reports"] for c in r["cases"] if not c["ok"]]
+    assert bad["case"] == "factorization counts match coproduct, I=21"
+    assert bad["witness"] == {
+        "index": [2, 1],
+        "left": list(first[0]),
+        "right": list(first[1]),
+        "factorizations": count,
+        "coefficient": count + 2,
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from nclag import compositions as comps, factorization as fz
+from nclag import algebra, compositions as comps, factorization as fz, hopf
 
 
 def test_canonical_permutation_cycles():
@@ -45,11 +47,51 @@ def test_worked_counts():
     assert fz.count_minimal_factorizations((5,), (2, 1), (1, 1)) == 11
 
 
-def test_counts_match_coproduct_coefficients():
+def _small_indices():
+    """Every composition I with |I| + l(I) <= 7."""
     for n in range(1, 6):
         for i in comps.all_compositions(n):
             if n + len(i) <= 7:
-                assert fz.verify_coproduct_match(i)
+                yield i
+
+
+def test_counts_match_coproduct_coefficients():
+    for i in _small_indices():
+        assert fz.verify_coproduct_match(i)
+
+
+def test_one_walk_tally_equals_the_per_left_type_tally():
+    # reference: one restricted candidate search per left type J
+    for i in _small_indices():
+        sigma = fz.canonical_permutation(i)
+        reference = Counter()
+        for a in range(comps.weight(i) + 1):
+            for j in comps.all_compositions(a):
+                for _, beta in fz._minimal_pairs(sigma, j):
+                    reference[j, fz.reduced_ordered_cycle_type(beta)] += 1
+        assert fz.factorization_tally(i) == reference, i
+
+
+@pytest.mark.parametrize("mutant", ["changed", "extra", "missing"])
+def test_a_corrupted_coproduct_fails_the_match(monkeypatch, mutant):
+    i = (2, 1)
+    true = hopf.delta_g_monomial
+    terms = dict(true(i).terms)
+    keys = sorted(terms)
+    assert ((1, 1, 1), ()) not in terms
+    if mutant == "changed":
+        terms[keys[1]] += 1
+    elif mutant == "extra":
+        terms[(1, 1, 1), ()] = 1
+    else:
+        del terms[keys[-1]]
+    monkeypatch.setattr(
+        hopf,
+        "delta_g_monomial",
+        lambda index: algebra.TensorElement(("G", "G"), terms) if index == i else true(index),
+    )
+    assert not fz.verify_coproduct_match(i)
+    assert fz.verify_coproduct_match((1, 2))
 
 
 def test_restricted_enumeration_loses_no_factorization():

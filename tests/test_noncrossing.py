@@ -199,6 +199,24 @@ def test_rebuild_reports_failing_step():
     assert err.value.step >= 1
 
 
+@pytest.mark.parametrize(
+    "i_comp, j_comp, message",
+    [
+        ((), (1,), "no left branch to start from (at step 1)"),
+        ((3,), (1,), "ran out of right-branch parts (at step 3)"),
+        ((2,), (2, 1), "ran out of left-branch parts (at step 3)"),
+        ((3, 1, 2), (1, 3, 1, 2, 2), "ran out of left-branch parts (at step 8)"),
+        ((1, 2), (1, 2), "unused parts remain (at step 3)"),
+        ((2, 1), (1, 1, 1), "unused parts remain (at step 4)"),
+    ],
+)
+def test_rebuild_failures_name_their_step(i_comp, j_comp, message):
+    with pytest.raises(nc.RebuildFailure) as err:
+        nc.rebuild_tree(i_comp, j_comp)
+    assert str(err.value) == message
+    assert f"(at step {err.value.step})" in message
+
+
 @pytest.mark.parametrize("i_comp, j_comp", [((0,), (0,)), ((1, 0), (1,)), ((2,), (1, -1))])
 def test_rebuild_refuses_a_part_below_one(i_comp, j_comp):
     # not a failed rebuild: the input is no pair of branch compositions

@@ -84,7 +84,7 @@ def unparkized_terms(pi):
     """Multiplicity-free splits: all (u, v) with u a sub-multiset of pi and
     v its complement, both sorted."""
     pi = tuple(pi)
-    if not (parking.is_nondecreasing(pi) and parking.is_parking(pi)):
+    if not parking.is_ndpf(pi):
         raise ValueError("index word must be a nondecreasing parking function")
     return _submultisets(pi)
 

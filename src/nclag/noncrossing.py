@@ -155,7 +155,7 @@ def ndpf_to_nc(w) -> NoncrossingPartition:
     block sizes; non-minima fill the innermost open block, k, which has
     ``left`` elements to place; the stack holds (k, left) of those below."""
     w = tuple(w)
-    if not parking.is_nondecreasing(w) or not parking.is_parking(w):
+    if not parking.is_ndpf(w):
         raise ValueError("word must be a nondecreasing parking function")
     n = len(w)
     counts = [0] * (n + 1)
@@ -322,46 +322,30 @@ def _trees(n):
     return tuple(out)
 
 
-def _infix_nodes(t):
-    """Infix traversal as (path, side, node); subtrees may be shared
-    between trees, so nodes are addressed by their root path."""
-    out = []
-
-    def walk(nd, path, side):
-        if nd is None:
-            return
-        walk(nd.left, path + ("L",), "L")
-        out.append((path, side, nd))
-        walk(nd.right, path + ("R",), "R")
-
-    walk(t, (), None)
-    return out
-
-
-def _chain_blocks(t, side):
-    """Maximal chains of side-child edges, as lists of infix labels ordered
-    top to bottom; a node is a chain top iff it is not a side-child."""
-    nodes = _infix_nodes(t)
-    label = {path: k + 1 for k, (path, _, _) in enumerate(nodes)}
-    child = "left" if side == "L" else "right"
-    chains = []
-    for path, sd, nd in nodes:
-        if sd == side:
-            continue
-        chain = []
-        cur, cur_path = nd, path
-        while cur is not None:
-            chain.append(label[cur_path])
-            cur = getattr(cur, child)
-            cur_path = cur_path + (side,)
-        chains.append(chain)
-    return chains
-
-
-def _branch_blocks(t, side):
-    blocks = [sorted(c) for c in _chain_blocks(t, side)]
-    blocks.sort(key=lambda b: b[0])
-    return blocks
+def _branches(t):
+    """Both branch partitions of a tree under infix labels, from one
+    iterative infix walk: a (blocks, owner) pair per side, ``owner[e]`` the
+    index of label e's block.  A left child stays in its parent's left
+    chain and starts a right chain, a right child the other way round.
+    Labels go in visit order, so shared subtrees need no addressing; left
+    chains are visited bottom up and right chains top down, so each block
+    grows increasing and opens after every block of smaller minimum."""
+    sides = ([], [None]), ([], [None])
+    stack = []
+    node, chains = t, ([], [])
+    while True:
+        while node is not None:
+            stack.append((node, chains))
+            node, chains = node.left, (chains[0], [])
+        if not stack:
+            return sides
+        node, chains = stack.pop()
+        for chain, (blocks, owner) in zip(chains, sides):
+            owner.append(owner[chain[0]] if chain else len(blocks))
+            if not chain:
+                blocks.append(chain)
+            chain.append(len(owner) - 1)
+        node, chains = node.right, ([], chains[1])
 
 
 def tree_phi(t: BinaryTree):
@@ -370,9 +354,10 @@ def tree_phi(t: BinaryTree):
     first (checked)."""
     if t is None:
         raise ValueError("tree must be nonempty")
-    n = t.size()
-    p_left = NoncrossingPartition(n, _branch_blocks(t, "L"))
-    p_right = NoncrossingPartition(n, _branch_blocks(t, "R"))
+    p_left, p_right = (
+        _checked(len(owner) - 1, tuple(map(tuple, blocks)), owner)
+        for blocks, owner in _branches(t)
+    )
     if kreweras(p_left) != p_right:
         raise ArithmeticError(
             f"right branches {to_text(p_right)} are not the Kreweras "
@@ -391,22 +376,16 @@ def tau(t: BinaryTree):
 def infix_successor(t: BinaryTree, i: int) -> int:
     """Next label in infix order, found by the two-move branch rule: one
     step down the right branch through i (cycling at the bottom), then one
-    step up the left branch (cycling at the top)."""
-    n = t.size()
-    if not 1 <= i <= n:
+    step up the left branch (cycling at the top).  Blocks are increasing,
+    so each move is the next larger label of the block, wrapping around to
+    the smallest."""
+    (left, l_owner), (right, r_owner) = _branches(t)
+    if not 1 <= i < len(l_owner):
         raise ValueError("label out of range")
-    right_chain = {}
-    for chain in _chain_blocks(t, "R"):
-        for lbl in chain:
-            right_chain[lbl] = chain
-    left_chain = {}
-    for chain in _chain_blocks(t, "L"):
-        for lbl in chain:
-            left_chain[lbl] = chain
-    rb = right_chain[i]
+    rb = right[r_owner[i]]
     j = rb[(rb.index(i) + 1) % len(rb)]  # one step down, cycling
-    lb = left_chain[j]
-    return lb[(lb.index(j) - 1) % len(lb)]  # one step up, cycling
+    lb = left[l_owner[j]]
+    return lb[(lb.index(j) + 1) % len(lb)]  # one step up, cycling
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +508,7 @@ def is_s_word(w) -> bool:
 
 def is_sprime_word(w) -> bool:
     """Nondecreasing parking function with letter multiplicity at most 2."""
-    return (
-        parking.is_nondecreasing(w)
-        and parking.is_parking(w)
-        and all(c <= 2 for c in Counter(w).values())
-    )
+    return parking.is_ndpf(w) and all(c <= 2 for c in Counter(w).values())
 
 
 def _reversal_complement(w, in_domain, side):

@@ -33,6 +33,16 @@ def is_parking(w) -> bool:
     return is_k_parking(w, 1)
 
 
+def is_ndpf(w) -> bool:
+    """1 <= w_1 <= w_2 <= ... and w_i <= i, in one pass without sorting."""
+    prev = 1
+    for i, v in enumerate(w, 1):
+        if not prev <= v <= i:
+            return False
+        prev = v
+    return True
+
+
 def enumerate_k_ndpf(n, k=1):
     """All nondecreasing k-parking functions of length n, lexicographically."""
     if n < 0:

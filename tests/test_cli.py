@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from nclag import algebra, cli, compositions as comps, hopf, lagrange
+from nclag import algebra, cli, compositions as comps, hopf, lagrange, noncrossing
 
 
 def run(capsys, *argv):
@@ -135,6 +135,26 @@ def test_tree_rebuild_trace_json(capsys):
     trace = json.loads(out)["trace"]
     assert [f"({label!r}, {tree})" for label, tree in trace] == text.splitlines()[1:]
     assert trace[0] == ["i1=3", "(((.).).)"]
+
+
+def test_tree_takes_a_one_part_composition_above_nine(capsys):
+    code, out, _ = run(capsys, "--json", "tree", "rebuild", "--left", "1" * 12, "--right", "12,")
+    assert code == 0
+    assert json.loads(out)["right"] == [12]
+
+
+@pytest.mark.parametrize("nodes, code", [(cli._MAX_TREE_NODES, 0), (cli._MAX_TREE_NODES + 1, 2)])
+@pytest.mark.parametrize(
+    "argv", [["tree", "tau"], ["tree", "rebuild"], ["--json", "tree", "rebuild", "--trace"]]
+)
+def test_tree_size_is_bounded_up_front(capsys, monkeypatch, argv, nodes, code):
+    # the deepest trees, both chains: the cap keeps the recursive tree code
+    # under the recursion limit, and raising NCLAG_MAX_DEGREE leaves it
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", "1000")
+    for left, right in [(f"{nodes},", "1" * nodes), ("1" * nodes, f"{nodes},")]:
+        got, out, err = outcome(capsys, [*argv, "--left", left, "--right", right])
+        assert got == code
+        assert ("exceed" in err) == (code == 2)
 
 
 def test_tree_rebuild_failure_exit_code(capsys):
@@ -559,6 +579,26 @@ def test_calls_in_one_process_share_one_parser_and_no_state(capsys, monkeypatch)
     assert together == alone
     assert [code for code, _, _ in together].count(1) == 1  # the failed rebuild
     assert [code for code, _, _ in together].count(2) == 2
+
+
+def test_verify_reports_a_failed_internal_check_as_a_failed_case(capsys, monkeypatch):
+    monkeypatch.setattr(noncrossing, "kreweras", lambda p: p)
+    code, out, err = outcome(capsys, ["verify", "--suite", "kreweras", "--max-n", "3"])
+    assert code == 1
+    assert "  FAIL internal invariant holds" in out.splitlines()
+    assert "are not the Kreweras complement" in err
+    assert "Traceback" not in err
+
+
+def test_verify_goes_on_after_a_suite_whose_internal_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(noncrossing, "kreweras", lambda p: p)
+    monkeypatch.setattr(cli, "SUITES", {k: cli.SUITES[k] for k in ("trees", "appendix")})
+    code, out, _ = outcome(capsys, ["--json", "verify", "--suite", "all", "--max-n", "2"])
+    assert code == 1
+    trees, appendix = json.loads(out)["reports"]
+    assert trees["cases"][-1]["case"] == "internal invariant holds"
+    assert "are not the Kreweras complement" in trees["cases"][-1]["witness"]["error"]
+    assert appendix["cases"] and all(case["ok"] for case in appendix["cases"])
 
 
 def test_main_runs_a_subcommand_replaced_after_the_parser_was_built(capsys, monkeypatch):

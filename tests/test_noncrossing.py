@@ -186,6 +186,62 @@ def test_twelve_node_worked_example():
     assert nc.kreweras(pl) == pr
 
 
+def branch_blocks_by_paths(t, side):
+    """Reference: the blocks of one branch partition, read as maximal
+    chains of side-child edges in a recursive infix walk that addresses
+    each node by its root path (subtrees are shared between trees)."""
+    nodes = []
+
+    def walk(nd, path, sd):
+        if nd is not None:
+            walk(nd.left, path + ("L",), "L")
+            nodes.append((path, sd, nd))
+            walk(nd.right, path + ("R",), "R")
+
+    walk(t, (), None)
+    label = {path: k + 1 for k, (path, _, _) in enumerate(nodes)}
+    child = "left" if side == "L" else "right"
+    blocks = []
+    for path, sd, nd in nodes:
+        if sd == side:
+            continue  # not the top of its chain
+        chain = []
+        while nd is not None:
+            chain.append(label[path])
+            nd, path = getattr(nd, child), path + (side,)
+        blocks.append(tuple(sorted(chain)))
+    return tuple(sorted(blocks))
+
+
+def test_one_walk_reads_the_branches_of_the_path_reference():
+    for n in range(1, 10):
+        for t in nc.enumerate_trees(n):
+            pl, pr = nc.tree_phi(t)
+            assert (pl.n, pr.n) == (n, n)
+            assert pl.blocks == branch_blocks_by_paths(t, "L")
+            assert pr.blocks == branch_blocks_by_paths(t, "R")
+
+
+def test_a_tree_deeper_than_the_recursion_limit():
+    # a left chain of 1000 nodes whose bottom node hangs a right chain of
+    # 1000 more: infix labels 1 (the bottom), 2..1001 (down the right
+    # chain), then 1002..2000 (up the left chain)
+    root = bottom = nc.BinaryTree()
+    for _ in range(999):
+        bottom.left = nc.BinaryTree()
+        bottom = bottom.left
+    cur = bottom
+    for _ in range(1000):
+        cur.right = nc.BinaryTree()
+        cur = cur.right
+    pl, pr = nc.tree_phi(root)
+    assert pl.blocks == ((1, *range(1002, 2001)),) + tuple((e,) for e in range(2, 1002))
+    assert pr.blocks == (tuple(range(1, 1002)),) + tuple((e,) for e in range(1002, 2001))
+    assert nc.tau(root) == ((1000,) + (1,) * 1000, (1001,) + (1,) * 999)
+    for i in (1, 2, 500, 1001, 1002, 1999, 2000):
+        assert nc.infix_successor(root, i) == i % 2000 + 1
+
+
 def test_tree_partitions_are_complements():
     for n in range(1, 8):
         for t in nc.enumerate_trees(n):

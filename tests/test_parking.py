@@ -18,6 +18,16 @@ def test_parking_predicate():
     assert not parking.is_k_parking((1, 4, 5), 2)
 
 
+def test_one_pass_ndpf_check_equals_the_two_checks():
+    found = 0
+    for n in range(7):
+        for w in itertools.product(range(-1, 8), repeat=n):
+            want = parking.is_nondecreasing(w) and parking.is_parking(w)
+            assert parking.is_ndpf(w) == want, w
+            found += want
+    assert found == sum(catalan(n) for n in range(7))
+
+
 def test_enumeration_counts():
     for n in range(8):
         assert len(parking.enumerate_ndpf(n)) == catalan(n)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from nclag import algebra, compositions as comps, incidence as inc, noncrossing as nc, parking
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
-from test_noncrossing import crosses_pairwise
+from test_noncrossing import branch_blocks_by_paths, crosses_pairwise
 from test_parking import parkize_by_shifts
 
 MODEST = settings(max_examples=150, deadline=None)
@@ -113,6 +113,14 @@ def binary_trees(draw, max_n=12):
 @given(binary_trees())
 def test_rebuild_inverts_tau(t):
     assert nc.rebuild_tree(*nc.tau(t)) == t
+
+
+@MODEST
+@given(binary_trees(max_n=14))
+def test_one_walk_reads_the_branches_of_the_path_reference(t):
+    pl, pr = nc.tree_phi(t)
+    assert pl.blocks == branch_blocks_by_paths(t, "L")
+    assert pr.blocks == branch_blocks_by_paths(t, "R")
 
 
 @MODEST

@@ -263,8 +263,9 @@ def cmd_kreweras(args):
     return 0
 
 
-# the tree code recurses once per level (`repr`, `==`, `rebuild_tree`'s freezing):
-# a constant under Python's recursion limit, which NCLAG_MAX_DEGREE does not raise
+# `tree rebuild --trace` copies and prints the whole tree at every step, so
+# its output grows quadratically in the node count: a constant, which
+# NCLAG_MAX_DEGREE does not raise
 _MAX_TREE_NODES = 200
 
 
@@ -346,8 +347,10 @@ def cmd_factorize(args):
     return 0
 
 
-# options each incidence action reads beyond its defaults
+# the options each incidence action reads: all of them required, but for
+# `values`, which has a default for each
 _INCIDENCE_NEEDS = {
+    "values": ("function", "power", "degree"),
     "multichains": ("n", "k"),
     "chains": ("n", "jumps"),
     "biane": ("n", "orders"),
@@ -356,25 +359,32 @@ _INCIDENCE_NEEDS = {
 
 
 def cmd_incidence(args):
-    missing = [
+    reads = _INCIDENCE_NEEDS[args.action]
+    unread = [
         f"--{name}"
-        for name in _INCIDENCE_NEEDS.get(args.action, ())
-        if getattr(args, name) is None
+        for name in dict.fromkeys(n for names in _INCIDENCE_NEEDS.values() for n in names)
+        if name not in reads and getattr(args, name) is not None
     ]
-    if missing:
+    if unread:
+        raise UsageError(f"incidence {args.action} does not read {', '.join(unread)}")
+    missing = [f"--{name}" for name in reads if getattr(args, name) is None]
+    if missing and args.action != "values":
         raise UsageError(f"incidence {args.action} needs {', '.join(missing)}")
     if args.action == "values":
-        lagrange._check_bound(args.degree)
+        function = args.function or "zeta"
+        power = 1 if args.power is None else args.power
+        degree = 6 if args.degree is None else args.degree
+        lagrange._check_bound(degree)
         base = {
             "zeta": incidence.zeta,
             "mobius": incidence.mobius,
             "identity": incidence.identity_character,
-        }[args.function](args.degree)
-        phi = incidence.power(base, args.power)
+        }[function](degree)
+        phi = incidence.power(base, power)
         vals = incidence.g_values(phi)
         payload = {
-            "function": args.function,
-            "power": args.power,
+            "function": function,
+            "power": power,
             "hat": [str(x) for x in phi.hat],
             "values": [str(v) for v in vals],
         }
@@ -772,9 +782,9 @@ def build_parser():
         "action",
         choices=("values", "multichains", "chains", "biane", "mobius-number"),
     )
-    q.add_argument("--function", choices=("zeta", "mobius", "identity"), default="zeta")
-    q.add_argument("--power", type=int, default=1)
-    q.add_argument("--degree", type=int, default=6)
+    q.add_argument("--function", choices=("zeta", "mobius", "identity"), help="default zeta")
+    q.add_argument("--power", type=int, help="default 1")
+    q.add_argument("--degree", type=int, help="default 6")
     q.add_argument("--n", type=int)
     q.add_argument("--k", type=int)
     q.add_argument("--jumps", type=_comp_arg)

@@ -5,7 +5,10 @@ zeta powers, chain and multichain counts, and a brute-force lattice oracle.
 A multiplicative function is determined by its hat coefficients (its values
 on the complete generators); convolution is the plain product of hat
 series, and values on the Lagrange generators come from the scalar
-functional equation Phi = sum alpha_n t^n Phi^n.
+functional equation Phi = sum alpha_n t^n Phi^n.  That equation and its
+inverse solve run on the degreewise engine of `lagrange`, with t^d written
+as S_1^d: S_1 generates a polynomial ring inside NSym, so the NSym product
+of such series is their product in t.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from . import noncrossing
+from . import lagrange, noncrossing
+from .algebra import NSymElement
 
 
 class MultiplicativeFunction:
@@ -95,36 +99,23 @@ def zeta_power(k, N) -> MultiplicativeFunction:
     return power(zeta(N), k)
 
 
-def _powers(a):
-    """power(p, d), the memoized degree-d coefficient of the p-th power of
-    sum_d a[d] t^d; `a` may grow between calls but must cover degree d."""
+def _in_t(c):
+    """sum_d c[d] t^d as the components c[d] S_1^d (see the module
+    docstring)."""
+    return [NSymElement.monomial("S", (1,) * d, x) for d, x in enumerate(c)]
 
-    @lru_cache(maxsize=None)
-    def power(p, d):
-        if p == 0:
-            return Fraction(1) if d == 0 else Fraction(0)
-        return sum(
-            (a[e] * power(p - 1, d - e) for e in range(d + 1)),
-            Fraction(0),
-        )
 
-    return power
+def _t_coefficients(series):
+    return [Fraction(x.coeff((1,) * d)) for d, x in enumerate(series.components)]
 
 
 def g_values(phi):
     """Values on the Lagrange generators, solving the scalar functional
     equation degree by degree."""
-    N = phi.max_degree
-    a = [Fraction(1)]
-    power = _powers(a)
-    for d in range(1, N + 1):
-        a.append(
-            sum(
-                (phi.hat[n] * power(n, d - n) for n in range(1, d + 1)),
-                Fraction(0),
-            )
-        )
-    return a
+    alpha = _in_t(phi.hat)
+    return _t_coefficients(
+        lagrange.solve_functional_equation(alpha.__getitem__, lambda n: n, phi.max_degree)
+    )
 
 
 def from_g_values(a) -> MultiplicativeFunction:
@@ -132,15 +123,10 @@ def from_g_values(a) -> MultiplicativeFunction:
     a = [Fraction(x) for x in a]
     if not a or a[0] != 1:
         raise ValueError("generator values must start with 1")
-    N = len(a) - 1
-    power = _powers(a)
-    hat = [Fraction(1)]
-    for d in range(1, N + 1):
-        rest = sum(
-            (hat[n] * power(n, d - n) for n in range(1, d)), Fraction(0)
-        )
-        hat.append(a[d] - rest)
-    return MultiplicativeFunction(hat)
+    series = lagrange.GradedSeries(_in_t(a))
+    return MultiplicativeFunction(
+        _t_coefficients(lagrange.coefficients_of(series, lambda n: n, len(a) - 1))
+    )
 
 
 def zeta_power_value(k, n) -> int:

@@ -7,15 +7,21 @@ from it: the k-analogue series, free cumulants, the inverse series, the
 negated-alphabet expansion and the antipode on the G basis, each with the
 independent computation routes used for cross-checking.
 
-One solver serves g, its k-analogues and any X = 1 + sum_n a_n X^r(n) with
-a_n homogeneous of degree n.  It memoizes the components (X^p)_e of the
-powers and fills them through
+One engine, `GradedSeries`, serves every degreewise series: g, its
+k-analogues and any X = 1 + sum_n a_n X^r(n) with a_n homogeneous of
+degree n.  It memoizes the components (X^p)_e of the powers and fills them
+through
 
     (X^p)_e = (X^(p-1))_e + sum_{n=1}^{e} a_n (X^(r(n)+p-1))_(e-n),
 
 since X^p = X X^(p-1) = (1 + sum_n a_n X^r(n)) X^(p-1); then X_d = (X^1)_d.
 Each entry is one copy of the entry below it plus one pass over a_n times
 lower-degree entries, not a convolution of X with X^(p-1).
+
+A given series is the case a_n = X_n, r = 0; the inverse series solves
+Y = 1 + sum_n (-X_n) Y; the inverse solve `coefficients_of` reads the a_n
+back off a series (the free cumulants off sigma, with r(n) = n); and the
+scalar series of `incidence` run on the same engine.
 """
 
 from __future__ import annotations
@@ -42,17 +48,27 @@ def _check_bound(n):
         )
 
 
+_ONE, _ZERO = NSymElement.one("S"), NSymElement.zero("S")
+
+
 class GradedSeries:
-    """A graded series stored as a list of homogeneous S-basis components."""
+    """X = 1 + sum_n coeffs(n) X^rule(n), stored as its S-basis components
+    and the memoized components (X^p)_e of its powers (see the module
+    docstring); without `coeffs` and `rule`, the given series with
+    coeffs(n) = X_n and rule(n) = 0."""
 
-    __slots__ = ("components", "_pw")
+    __slots__ = ("components", "_pw", "_coeffs", "_rule")
 
-    def __init__(self, components):
+    def __init__(self, components, coeffs=None, rule=None):
         self.components = list(components)
+        if self.components[:1] != [_ONE]:
+            raise ValueError("constant term must be the unit")
         for d, c in enumerate(self.components):
             if not c.is_homogeneous(d) and not c.is_zero():
                 raise ValueError(f"component {d} is not homogeneous of degree {d}")
         self._pw = {}
+        self._coeffs = self.components.__getitem__ if coeffs is None else coeffs
+        self._rule = (lambda n: 0) if rule is None else rule
 
     @property
     def max_degree(self):
@@ -66,17 +82,39 @@ class GradedSeries:
         return self.components[d]
 
     def power_component(self, p, d):
-        """Degree-d component of the p-th power (memoized)."""
-        if p == 0:
-            return NSymElement.one("S") if d == 0 else NSymElement.zero("S")
-        if p == 1:
-            return self.component(d)
-        key = (p, d)
-        if key not in self._pw:
-            self._pw[key] = _sum_of_products(
-                range(d + 1), self.component, lambda e: self.power_component(p - 1, d - e)
-            )
-        return self._pw[key]
+        """Degree-d component of the p-th power (memoized).  The powers of
+        degree d are filled in one loop over p, so the recursion descends
+        only in degree: its depth is at most d."""
+        if d == 0:
+            return _ONE
+        if p <= 1:
+            return self.component(d) if p else _ZERO
+        pw = self._pw
+        if (p, d) not in pw:
+            q = p - 1
+            while q > 1 and (q, d) not in pw:
+                q -= 1
+            for q in range(q + 1, p + 1):
+                pw[q, d] = self._step(q, d, self.power_component(q - 1, d).terms)
+        return pw[p, d]
+
+    def _step(self, p, e, prev):
+        """(X^p)_e = (X^(p-1))_e + sum_n a_n (X^(r(n)+p-1))_(e-n), the first
+        term given by its terms `prev`."""
+        rule, power = self._rule, self.power_component
+        return _sum_of_products(
+            range(1, e + 1),
+            self._coeffs,
+            lambda n: power(rule(n) + p - 1, e - n),
+            acc=dict(prev),
+        )
+
+    def extend(self, N):
+        """Solve for the components up to degree N: X_d = (X^1)_d, whose
+        right-hand side only involves components below d."""
+        xs = self.components
+        for d in range(len(xs), N + 1):
+            xs.append(self._step(1, d, {}))
 
     def truncate(self, N):
         return GradedSeries(self.components[: N + 1])
@@ -107,44 +145,6 @@ def _sum_of_products(indices, left, right, c=1, acc=None):
     return NSymElement._adopt("S", acc)
 
 
-def _extend_solution(series, coeffs, power_rule, N):
-    """Extend a solution of X = 1 + sum_n coeffs(n) X^power_rule(n) to
-    degree N, filling `series._pw` through the recurrence
-
-        (X^p)_e = (X^(p-1))_e + sum_n coeffs(n) (X^(power_rule(n)+p-1))_(e-n)
-
-    (see the module docstring); X_d is (X^1)_d, whose (X^0)_d is 0."""
-    xs, pw = series.components, series._pw
-    one, zero = NSymElement.one("S"), NSymElement.zero("S")
-
-    def step(p, e, prev):
-        return _sum_of_products(
-            range(1, e + 1),
-            coeffs,
-            lambda n: power(power_rule(n) + p - 1, e - n),
-            acc=dict(prev),
-        )
-
-    def power(p, e):
-        # the powers of degree e are filled in one loop over p, so the
-        # recursion descends only in degree: its depth is at most e
-        if e == 0:
-            return one
-        if p <= 1:
-            return xs[e] if p else zero
-        if (p, e) not in pw:
-            q = p - 1
-            while q > 1 and (q, e) not in pw:
-                q -= 1
-            for q in range(q + 1, p + 1):
-                pw[q, e] = step(q, e, power(q - 1, e).terms)
-        return pw[p, e]
-
-    # the degree-d right-hand side only involves components < d
-    for d in range(len(xs), N + 1):
-        xs.append(step(1, d, {}))
-
-
 def solve_functional_equation(coeffs, power_rule, N) -> GradedSeries:
     """Solve X = 1 + sum_{n>=1} coeffs(n) X^power_rule(n) degree by degree
     up to N.
@@ -154,9 +154,26 @@ def solve_functional_equation(coeffs, power_rule, N) -> GradedSeries:
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    series = GradedSeries([NSymElement.one("S")])
-    _extend_solution(series, coeffs, power_rule, N)
+    series = GradedSeries([_ONE], coeffs, power_rule)
+    series.extend(N)
     return series
+
+
+def coefficients_of(series, rule, N) -> GradedSeries:
+    """The inverse solve: the a_n, n <= N, with series = 1 + sum_n a_n
+    series^rule(n), from a_d = X_d - sum_{n<d} a_n (X^rule(n))_(d-n)."""
+    a = [_ONE]
+    for d in range(1, N + 1):
+        a.append(
+            _sum_of_products(
+                range(1, d),
+                a.__getitem__,
+                lambda n: series.power_component(rule(n), d - n),
+                c=-1,
+                acc=dict(series.component(d).terms),
+            )
+        )
+    return GradedSeries(a)
 
 
 def _s_generator(n):
@@ -167,7 +184,7 @@ def _s_generator(n):
 # The g series and its k-analogues (shared caches, exclusive extension)
 
 _cache_lock = threading.Lock()
-_g_series = GradedSeries([NSymElement.one("S")])
+_g_series = GradedSeries([_ONE], _s_generator, lambda m: m)
 _gk_series = {}
 
 
@@ -177,12 +194,10 @@ def _shared_component(k, n):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     with _cache_lock:
-        if k == 1:
-            series = _g_series
-        else:
-            series = _gk_series.setdefault(k, GradedSeries([NSymElement.one("S")]))
-        if n > series.max_degree:
-            _extend_solution(series, _s_generator, lambda m: k * m, n)
+        series = _g_series if k == 1 else _gk_series.get(k)
+        if series is None:
+            series = _gk_series[k] = GradedSeries([_ONE], _s_generator, lambda m: k * m)
+        series.extend(n)
         return series.components[n]
 
 
@@ -249,43 +264,19 @@ def k_parking_check(n, k) -> bool:
 
 
 def series_inverse(s: GradedSeries) -> GradedSeries:
-    """The multiplicative inverse, degree by degree."""
-    if s.component(0) != NSymElement.one("S"):
-        raise ValueError("constant term must be the unit")
-    inv = [NSymElement.one("S")]
-    for d in range(1, s.max_degree + 1):
-        inv.append(
-            _sum_of_products(range(1, d + 1), s.component, lambda e: inv[d - e], c=-1)
-        )
-    return GradedSeries(inv)
-
-
-def series_product_component(a: GradedSeries, b: GradedSeries, d) -> NSymElement:
-    return _sum_of_products(range(d + 1), a.component, lambda e: b.component(d - e))
+    """The multiplicative inverse: the solution of Y = 1 + sum_n (-X_n) Y."""
+    negated = [-x for x in s.components]
+    return solve_functional_equation(negated.__getitem__, lambda n: 1, s.max_degree)
 
 
 def sigma_series(N) -> GradedSeries:
     """The full sum of complete generators, 1 + S_1 + S_2 + ..."""
-    return GradedSeries(
-        [NSymElement.one("S")] + [_s_generator(n) for n in range(1, N + 1)]
-    )
+    return GradedSeries([_ONE] + [_s_generator(n) for n in range(1, N + 1)])
 
 
 def free_cumulants(N) -> GradedSeries:
     """The cumulant components solving sigma = sum_n K_n sigma^n."""
-    sigma = sigma_series(N)
-    ks = [NSymElement.one("S")]
-    for d in range(1, N + 1):
-        ks.append(
-            _sum_of_products(
-                range(1, d),
-                lambda n: ks[n],
-                lambda n: sigma.power_component(n, d - n),
-                c=-1,
-                acc={(d,): 1},
-            )
-        )
-    return GradedSeries(ks)
+    return coefficients_of(sigma_series(N), lambda n: n, N)
 
 
 def free_cumulant_check(N) -> bool:

@@ -280,27 +280,42 @@ class BinaryTree:
         self.right = right
 
     def size(self) -> int:
-        n = 1
-        if self.left:
-            n += self.left.size()
-        if self.right:
-            n += self.right.size()
-        return n
+        return sum(1 for _ in _nodes(self))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BinaryTree)
-            and other.left == self.left
-            and other.right == self.right
-        )
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if not (isinstance(a, BinaryTree) and isinstance(b, BinaryTree)):
+                    return False
+                pairs += ((a.left, b.left), (a.right, b.right))
+        return True
 
     def __hash__(self):
-        return hash((BinaryTree, self.left, self.right))
+        return hash(repr(self))
 
     def __repr__(self):
-        l = repr(self.left) if self.left else ""
-        r = repr(self.right) if self.right else ""
-        return f"({l}.{r})"
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+            else:
+                out.append("(")
+                stack += (")", t.right or "", ".", t.left or "")
+        return "".join(out)
+
+
+def _nodes(t):
+    """The nodes of a tree, each parent before its children, walked without
+    recursion."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            yield node
+            stack += (node.right, node.left)
 
 
 def enumerate_trees(n):
@@ -398,19 +413,13 @@ class RebuildFailure(ValueError):
         self.step = step
 
 
-class _Node:
-    __slots__ = ("left", "right", "marked")
-
-    def __init__(self):
-        self.left = None
-        self.right = None
-        self.marked = False
-
-
-def _freeze(node):
-    if node is None:
-        return None
-    return BinaryTree(_freeze(node.left), _freeze(node.right))
+def _copy(root):
+    """A copy of a tree, built children first."""
+    # keyed by id: a tree hashes by its whole text form
+    copies = {id(None): None}
+    for node in reversed(list(_nodes(root))):
+        copies[id(node)] = BinaryTree(copies[id(node.left)], copies[id(node.right)])
+    return copies[id(root)]
 
 
 def rebuild_tree(i_comp, j_comp, trace=None):
@@ -440,15 +449,16 @@ def rebuild_tree(i_comp, j_comp, trace=None):
         if j_parts:
             raise RebuildFailure("no left branch to start from", step)
         return None
-    root = _Node()
+    root = BinaryTree()
     cur = root
     for _ in range(i_parts[0] - 1):
-        cur.left = _Node()
+        cur.left = BinaryTree()
         cur = cur.left
     i_used, j_used = 1, 0
     if trace is not None:
-        trace.append((f"i1={i_parts[0]}", _freeze(root)))
+        trace.append((f"i1={i_parts[0]}", _copy(root)))
     stack = []  # (node, side) of the nodes whose left subtree is being walked
+    marked = set()  # the ids of the marked nodes
 
     def descend(node, side):
         while node is not None:
@@ -458,12 +468,12 @@ def rebuild_tree(i_comp, j_comp, trace=None):
     descend(root, "L")
     while True:
         step += 1
-        while stack and stack[-1][0].marked:
+        while stack and id(stack[-1][0]) in marked:
             descend(stack.pop()[0].right, "R")
         if not stack:
             break
         node, side = stack.pop()
-        node.marked = True
+        marked.add(id(node))
         cur = node
         if side == "L":
             if j_used >= len(j_parts):
@@ -472,7 +482,7 @@ def rebuild_tree(i_comp, j_comp, trace=None):
             j_used += 1
             label = f"j{j_used}={size}"
             for _ in range(size - 1):
-                cur.right = _Node()
+                cur.right = BinaryTree()
                 cur = cur.right
             descend(node.right, "R")
         else:
@@ -482,14 +492,14 @@ def rebuild_tree(i_comp, j_comp, trace=None):
             i_used += 1
             label = f"i{i_used}={size}"
             for _ in range(size - 1):
-                cur.left = _Node()
+                cur.left = BinaryTree()
                 cur = cur.left
             descend(node, side)
         if trace is not None:
-            trace.append((label, _freeze(root)))
+            trace.append((label, _copy(root)))
     if i_used < len(i_parts) or j_used < len(j_parts):
         raise RebuildFailure("unused parts remain", step)
-    return _freeze(root)
+    return root
 
 
 # ---------------------------------------------------------------------------

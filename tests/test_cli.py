@@ -1,9 +1,11 @@
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -148,8 +150,8 @@ def test_tree_takes_a_one_part_composition_above_nine(capsys):
     "argv", [["tree", "tau"], ["tree", "rebuild"], ["--json", "tree", "rebuild", "--trace"]]
 )
 def test_tree_size_is_bounded_up_front(capsys, monkeypatch, argv, nodes, code):
-    # the deepest trees, both chains: the cap keeps the recursive tree code
-    # under the recursion limit, and raising NCLAG_MAX_DEGREE leaves it
+    # the deepest trees, both chains: the cap bounds the quadratic output of
+    # --trace, and raising NCLAG_MAX_DEGREE leaves it
     monkeypatch.setenv("NCLAG_MAX_DEGREE", "1000")
     for left, right in [(f"{nodes},", "1" * nodes), ("1" * nodes, f"{nodes},")]:
         got, out, err = outcome(capsys, [*argv, "--left", left, "--right", right])
@@ -355,6 +357,43 @@ def test_missing_input_is_usage_error(capsys, argv):
         cli.main(argv)
     assert err.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["incidence", "values", "--n", "40"], "--n"),
+        (["incidence", "values", "--k", "2"], "--k"),
+        (["incidence", "multichains", "--n", "3", "--k", "2", "--degree", "3"], "--degree"),
+        (["incidence", "chains", "--n", "4", "--jumps", "111", "--orders", "2,2"], "--orders"),
+        (["incidence", "biane", "--n", "4", "--orders", "2,3", "--function", "zeta"], "--function"),
+        (["incidence", "mobius-number", "--n", "3", "--power", "1"], "--power"),
+        (["incidence", "mobius-number", "--n", "3", "--jumps", "11"], "--jumps"),
+    ],
+    ids=lambda x: "-".join(x) if isinstance(x, list) else x,
+)
+def test_incidence_refuses_an_option_it_does_not_read(capsys, argv, option):
+    code, out, err = outcome(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not read {option}" in err
+
+
+def _verify_cases_of_the_benchmark():
+    """VERIFY_CASES of perfbench/workloads.py, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["VERIFY_CASES"]:
+            return ast.literal_eval(node.value)
+    raise LookupError("VERIFY_CASES not found")
+
+
+@pytest.mark.parametrize("max_n", [3, 6])
+def test_verify_case_count_matches_the_benchmark(capsys, max_n):
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "all", "--max-n", str(max_n))
+    assert code == 0
+    cases = sum(len(r["cases"]) for r in json.loads(out)["reports"])
+    assert cases == _verify_cases_of_the_benchmark()[max_n]
 
 
 def test_convert_from_f_prints_integer_coefficients(capsys):

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -73,31 +74,62 @@ def test_k_analogue_iterative_route_for_k_up_to_four():
             assert lagrange.gk_component_iterative(k, n) == lagrange.gk_component(k, n)
 
 
+def series_product_component(a, b, d):
+    """(AB)_d of two graded series by plain convolution."""
+    return sum((a.component(e) * b.component(d - e) for e in range(d + 1)), NSymElement.zero("S"))
+
+
+def convolution_powers(series):
+    """power(p, d) = (X^p)_d, each power the plain convolution of X with the
+    one below it: the reference for the solver's recurrence."""
+
+    @functools.cache
+    def power(p, d):
+        if p == 0:
+            return NSymElement.one("S") if d == 0 else NSymElement.zero("S")
+        return sum(
+            (series.component(e) * power(p - 1, d - e) for e in range(d + 1)),
+            NSymElement.zero("S"),
+        )
+
+    return power
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_recurrence_filled_powers_equal_the_convolution(k):
     N = 12
     solved = lagrange.solve_functional_equation(lagrange._s_generator, lambda m: k * m, N)
-    plain = lagrange.GradedSeries(solved.components)
+    plain = convolution_powers(solved)
     keys = [(p, e) for p in range(2, N) for e in range(1, N + 1 - p)]
     assert set(keys) <= set(solved._pw)
     for p, e in keys:
-        assert solved._pw[p, e] == plain.power_component(p, e), (p, e)
+        assert solved._pw[p, e] == plain(p, e), (p, e)
     # and the components solve X = 1 + sum_n S_n X^(kn), convolution powers only
     for d in range(1, N + 1):
         rhs = sum(
-            (lagrange._s_generator(n) * plain.power_component(k * n, d - n) for n in range(1, d + 1)),
+            (lagrange._s_generator(n) * plain(k * n, d - n) for n in range(1, d + 1)),
             NSymElement.zero("S"),
         )
         assert solved.component(d) == rhs, d
+    # a given series fills its powers by the same recurrence
+    given = lagrange.GradedSeries(solved.components)
+    assert all(given.power_component(p, e) == plain(p, e) for p, e in keys)
 
 
 def test_extending_in_steps_equals_one_solve():
     stepped = lagrange.solve_functional_equation(lagrange._s_generator, lambda m: m, 12)
-    lagrange._extend_solution(stepped, lagrange._s_generator, lambda m: m, 16)
+    stepped.extend(16)
     fresh = lagrange.solve_functional_equation(lagrange._s_generator, lambda m: m, 16)
     assert stepped.components == fresh.components
     assert stepped._pw == fresh._pw
     assert fresh.components == [lagrange.g_component(d) for d in range(17)]
+
+
+def test_a_series_starts_with_the_unit():
+    # the recurrence takes (X^p)_0 = 1 for every p
+    for start in ([], [NSymElement.zero("S")], [NSymElement.monomial("S", (), 2)]):
+        with pytest.raises(ValueError, match="unit"):
+            lagrange.GradedSeries(start)
 
 
 def test_negative_degree_is_rejected():
@@ -121,10 +153,9 @@ def test_series_inverse_is_two_sided():
     g = lagrange.g_table(6)
     inv = lagrange.series_inverse(g)
     for d in range(7):
-        prod = lagrange.series_product_component(g, inv, d)
         want = NSymElement.one("S") if d == 0 else NSymElement.zero("S")
-        assert prod == want
-        assert lagrange.series_product_component(inv, g, d) == want
+        assert series_product_component(g, inv, d) == want
+        assert series_product_component(inv, g, d) == want
 
 
 def test_free_cumulant_functional_equation():

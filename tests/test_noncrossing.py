@@ -242,6 +242,29 @@ def test_a_tree_deeper_than_the_recursion_limit():
         assert nc.infix_successor(root, i) == i % 2000 + 1
 
 
+def combs(n):
+    """The left and the right comb of n nodes, built in a loop."""
+    left = right = None
+    for _ in range(n):
+        left, right = nc.BinaryTree(left, None), nc.BinaryTree(None, right)
+    return left, right
+
+
+def test_combs_deeper_than_the_recursion_limit():
+    left, right = combs(2000)
+    assert left.size() == right.size() == 2000
+    assert repr(left) == "(" * 2000 + "." + ")." * 1999 + ")"
+    assert repr(right) == "(." * 2000 + ")" * 2000
+    again = combs(2000)
+    assert (left, right) == again and hash(left) == hash(again[0])
+    assert left != right and right != left
+    assert len({left, right, *again}) == 2
+    assert nc.rebuild_tree([2000], [1] * 2000) == left
+    assert nc.rebuild_tree([1] * 2000, [2000]) == right
+    for t in (left, right):
+        assert nc.rebuild_tree(*nc.tau(t)) == t
+
+
 def test_tree_partitions_are_complements():
     for n in range(1, 8):
         for t in nc.enumerate_trees(n):

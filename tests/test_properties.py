@@ -1,8 +1,9 @@
 """Property-based tests of the noncrossing bijections, the crossing test,
 the composition codec and lattice walks, the basis conversions and their
-walk over the basis trees, the antipode, the scalar functional equation and
-tensors, the profile code, the compatible-pair bijection and tree
-rebuilding, on random inputs larger than the exhaustive tests reach."""
+walk over the basis trees, the antipode, the scalar functional equation,
+the series engine's inverse solve and inverse, tensors, the profile code,
+the compatible-pair bijection and tree rebuilding, on random inputs larger
+than the exhaustive tests reach."""
 
 import itertools
 import json
@@ -11,9 +12,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nclag import algebra, compositions as comps, incidence as inc, noncrossing as nc, parking
+from nclag import algebra, compositions as comps, incidence as inc, lagrange, noncrossing as nc, parking
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
+from test_lagrange import series_product_component
 from test_noncrossing import branch_blocks_by_paths, crosses_pairwise
 from test_parking import parkize_by_shifts
 
@@ -342,6 +344,43 @@ def test_generator_values_solve_the_functional_equation(tail):
             rhs[d] += phi.hat[n] * power[d - n]
     assert a == rhs
     assert inc.from_g_values(a) == phi
+
+
+# the rules r(n) of X = 1 + sum_n a_n X^r(n), by name
+RULES = {"0": lambda n: 0, "1": lambda n: 1, "n": lambda n: n, "2n": lambda n: 2 * n}
+
+
+@st.composite
+def functional_equations(draw, max_n=6):
+    """(N, rule, a): a rule name and a_0 = 1, a_1..a_N homogeneous on the S
+    basis with a few small integer terms."""
+    N = draw(st.integers(1, max_n))
+    rule = draw(st.sampled_from(sorted(RULES)))
+    a = [NSymElement.one("S")]
+    for n in range(1, N + 1):
+        index = st.sampled_from(comps.all_compositions(n))
+        a.append(NSymElement("S", draw(st.dictionaries(index, st.integers(-3, 3), max_size=3))))
+    return N, rule, a
+
+
+@settings(max_examples=40, deadline=None)
+@given(functional_equations())
+def test_the_inverse_solve_recovers_the_coefficients_solved_for(equation):
+    N, rule, a = equation
+    x = lagrange.solve_functional_equation(a.__getitem__, RULES[rule], N)
+    assert lagrange.coefficients_of(x, RULES[rule], N).components == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(functional_equations())
+def test_series_inverse_is_two_sided_on_solved_series(equation):
+    N, rule, a = equation
+    x = lagrange.solve_functional_equation(a.__getitem__, RULES[rule], N)
+    y = lagrange.series_inverse(x)
+    for d in range(N + 1):
+        want = NSymElement.one("S") if d == 0 else NSymElement.zero("S")
+        assert series_product_component(x, y, d) == want
+        assert series_product_component(y, x, d) == want
 
 
 @st.composite

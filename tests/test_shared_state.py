@@ -66,7 +66,7 @@ def _run_readers():
     assert lagrange.free_cumulant_check(N)
     assert lagrange.gamma_check(N)
     inv = lagrange.series_inverse(lagrange.g_table(N))
-    assert lagrange.series_product_component(inv, lagrange.g_table(N), N).is_zero()
+    assert lagrange.series_inverse(inv) == lagrange.g_table(N)
     for n in range(1, N + 1):
         assert lagrange.s_to_g_via_recipe(n) == lagrange.s_generator_on_g(n)
         assert lagrange.g_neg(n) == lagrange.g_neg_via_doubling(n)

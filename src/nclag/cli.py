@@ -347,8 +347,8 @@ def cmd_factorize(args):
     return 0
 
 
-# the options each incidence action reads: all of them required, but for
-# `values`, which has a default for each
+# the options each incidence action reads; each is required unless it has a
+# default below
 _INCIDENCE_NEEDS = {
     "values": ("function", "power", "degree"),
     "multichains": ("n", "k"),
@@ -356,6 +356,7 @@ _INCIDENCE_NEEDS = {
     "biane": ("n", "orders"),
     "mobius-number": ("n",),
 }
+_INCIDENCE_DEFAULTS = {"function": "zeta", "power": 1, "degree": 6}
 
 
 def cmd_incidence(args):
@@ -367,24 +368,24 @@ def cmd_incidence(args):
     ]
     if unread:
         raise UsageError(f"incidence {args.action} does not read {', '.join(unread)}")
+    for name in reads:
+        if getattr(args, name) is None and name in _INCIDENCE_DEFAULTS:
+            setattr(args, name, _INCIDENCE_DEFAULTS[name])
     missing = [f"--{name}" for name in reads if getattr(args, name) is None]
-    if missing and args.action != "values":
+    if missing:
         raise UsageError(f"incidence {args.action} needs {', '.join(missing)}")
     if args.action == "values":
-        function = args.function or "zeta"
-        power = 1 if args.power is None else args.power
-        degree = 6 if args.degree is None else args.degree
-        lagrange._check_bound(degree)
+        lagrange._check_bound(args.degree)
         base = {
             "zeta": incidence.zeta,
             "mobius": incidence.mobius,
             "identity": incidence.identity_character,
-        }[function](degree)
-        phi = incidence.power(base, power)
+        }[args.function](args.degree)
+        phi = incidence.power(base, args.power)
         vals = incidence.g_values(phi)
         payload = {
-            "function": function,
-            "power": power,
+            "function": args.function,
+            "power": args.power,
             "hat": [str(x) for x in phi.hat],
             "values": [str(v) for v in vals],
         }
@@ -782,9 +783,10 @@ def build_parser():
         "action",
         choices=("values", "multichains", "chains", "biane", "mobius-number"),
     )
-    q.add_argument("--function", choices=("zeta", "mobius", "identity"), help="default zeta")
-    q.add_argument("--power", type=int, help="default 1")
-    q.add_argument("--degree", type=int, help="default 6")
+    defaults = {name: f"default {v}" for name, v in _INCIDENCE_DEFAULTS.items()}
+    q.add_argument("--function", choices=("zeta", "mobius", "identity"), help=defaults["function"])
+    q.add_argument("--power", type=int, help=defaults["power"])
+    q.add_argument("--degree", type=int, help=defaults["degree"])
     q.add_argument("--n", type=int)
     q.add_argument("--k", type=int)
     q.add_argument("--jumps", type=_comp_arg)

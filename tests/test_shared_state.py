@@ -6,6 +6,8 @@ check that nothing cached changed."""
 from nclag import algebra, compositions as comps, hopf, lagrange
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
+from test_lagrange import series_product_component
+
 N = 6
 QSYM_N = 4
 CACHED = (
@@ -66,7 +68,7 @@ def _run_readers():
     assert lagrange.free_cumulant_check(N)
     assert lagrange.gamma_check(N)
     inv = lagrange.series_inverse(lagrange.g_table(N))
-    assert lagrange.series_inverse(inv) == lagrange.g_table(N)
+    assert series_product_component(inv, lagrange.g_table(N), N).is_zero()
     for n in range(1, N + 1):
         assert lagrange.s_to_g_via_recipe(n) == lagrange.s_generator_on_g(n)
         assert lagrange.g_neg(n) == lagrange.g_neg_via_doubling(n)

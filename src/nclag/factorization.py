@@ -9,6 +9,7 @@ minimal when the transposition lengths add up.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from . import compositions as comps, hopf, noncrossing
@@ -151,32 +152,56 @@ def count_minimal_factorizations(i_comp, j_comp, k_comp) -> int:
     return len(canonical_factorizations(i_comp, j_comp, k_comp))
 
 
+def _run_table(length) -> Counter:
+    """(ordered cycle lengths of alpha, ordered cycle lengths of beta) ->
+    count, over the length! rearrangements alpha of one run of sigma, with
+    beta = alpha^-1 sigma on that run.
+
+    Relabelled 1..L in order, sigma on a run is x -> x+1 mod L, so beta's
+    one-line form is alpha^-1's rotated left by one.  A permutation and its
+    inverse have the same ordered cycle lengths, so with p = alpha^-1 the
+    pair is (type of p, type of p rotated by one).  The one-line tuples fall
+    into rotation orbits of size L, one per tuple that starts with 1:
+    walking an orbit once pairs the lengths of rotation k with those of
+    rotation k+1, one cycle walk per permutation.
+    """
+    table = Counter()
+    for rest in itertools.permutations(range(2, length + 1)):
+        p = (1, *rest)
+        types = [
+            tuple(map(len, noncrossing.cycles_of(p[k:] + p[:k])))
+            for k in range(length)
+        ]
+        table.update(zip(types, types[1:] + types[:1]))
+    return table
+
+
 def factorization_tally(i_comp) -> Counter:
     """Minimal factorizations of the canonical permutation of reduced type
     I, counted by the reduced ordered cycle types (J, K) of their factors.
 
-    One walk for every J together: by the `_minimal_pairs` lemma the
-    candidates alpha are the permutations whose cycles lie inside the
-    cycles of sigma.  These are consecutive runs, so alpha's one-line form
-    is a chain of one rearrangement of each run.
+    By the `_minimal_pairs` lemma the candidates alpha are the permutations
+    whose cycles lie inside the cycles of sigma.  These are consecutive
+    runs, and alpha and sigma preserve each run, so beta does too, and the
+    ordered cycle lengths of alpha and of beta are concatenations of their
+    lengths on the runs.  So the tally combines one `_run_table` per
+    distinct run length: concatenate the lengths, multiply the counts, and
+    keep a combination only if it meets the global condition
+    2m - cyc(alpha) - cyc(beta) = lt(sigma); no run is required to be
+    minimal on its own.
     """
     sigma = _bounded_canonical_permutation(i_comp)
-    runs = noncrossing.cycles_of(sigma)
     m = len(sigma)
-    lt_sigma = m - len(runs)
-    inv = [0] * m
+    lengths = [len(run) for run in noncrossing.cycles_of(sigma)]
+    lt_sigma = m - len(lengths)
+    tables = {length: _run_table(length) for length in set(lengths)}
     tally = Counter()
-    for images in itertools.product(*map(itertools.permutations, runs)):
-        alpha = list(itertools.chain.from_iterable(images))
-        for x, a in enumerate(alpha, 1):
-            inv[a - 1] = x
-        alpha_cycles = noncrossing.cycles_of(alpha)
-        beta_cycles = noncrossing.cycles_of([inv[s - 1] for s in sigma])
-        if 2 * m - len(alpha_cycles) - len(beta_cycles) == lt_sigma:
-            tally[
-                comps.reduce_parts(map(len, alpha_cycles)),
-                comps.reduce_parts(map(len, beta_cycles)),
-            ] += 1
+    for combo in itertools.product(*(tables[length].items() for length in lengths)):
+        alpha = [c for (a, _), _ in combo for c in a]
+        beta = [c for (_, b), _ in combo for c in b]
+        if 2 * m - len(alpha) - len(beta) == lt_sigma:
+            key = comps.reduce_parts(alpha), comps.reduce_parts(beta)
+            tally[key] += math.prod(count for _, count in combo)
     return tally
 
 
@@ -194,12 +219,6 @@ def coproduct_mismatch(i_comp):
         key for key in tally.keys() | coeffs.keys() if tally[key] != coeffs.get(key, 0)
     )
     return j, k, tally[j, k], coeffs.get((j, k), 0)
-
-
-def verify_coproduct_match(i_comp) -> bool:
-    """Factorization counts of the canonical permutation must equal the
-    tensor coefficients of the coproduct of the matching G-basis monomial."""
-    return coproduct_mismatch(i_comp) is None
 
 
 def partition_tally(sigma):

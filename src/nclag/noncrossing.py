@@ -132,9 +132,13 @@ def to_text(p: NoncrossingPartition) -> str:
 
 def from_text(text: str) -> NoncrossingPartition:
     """Inverse of to_text; a block with a comma is a comma list, with an
-    optional trailing comma, and any other block a digit string."""
+    optional trailing comma, and any other block a digit string.  The
+    empty text is the empty partition of 0."""
+    text = text.strip()
+    if not text:
+        return NoncrossingPartition(0, ())
     blocks = []
-    for chunk in text.strip().split("|"):
+    for chunk in text.split("|"):
         if "," in chunk:
             pieces = chunk.split(",")
             if not pieces[-1]:

@@ -112,6 +112,17 @@ def test_kreweras_output_reads_back_for_n_of_two_digits(capsys):
     assert out.strip() == "1,2,3,4,5,6,7,8,9,10"
 
 
+def test_kreweras_of_the_empty_partition(capsys):
+    # `enumerate --what nc --n 0` prints the empty partition as an empty line
+    code, out, _ = run(capsys, "enumerate", "--what", "nc", "--n", "0")
+    assert (code, out) == (0, "\n")
+    code, out, err = run(capsys, "kreweras", "--partition", "")
+    assert (code, out, err) == (0, "\n", "")
+    code, out, _ = run(capsys, "--json", "kreweras", "--partition", "")
+    assert code == 0
+    assert json.loads(out) == {"input": [], "complement": []}
+
+
 def test_tree_rebuild_trace(capsys):
     code, out, _ = run(
         capsys,

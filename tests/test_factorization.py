@@ -1,8 +1,10 @@
+import itertools
+import math
 from collections import Counter
 
 import pytest
 
-from nclag import algebra, compositions as comps, factorization as fz, hopf
+from nclag import algebra, compositions as comps, factorization as fz, hopf, noncrossing
 
 
 def test_canonical_permutation_cycles():
@@ -57,7 +59,52 @@ def _small_indices():
 
 def test_counts_match_coproduct_coefficients():
     for i in _small_indices():
-        assert fz.verify_coproduct_match(i)
+        assert fz.coproduct_mismatch(i) is None, i
+
+
+def _full_product_tally(i):
+    """Reference: one walk over every alpha that rearranges each run of
+    sigma, both factors' cycles walked on their full one-line forms."""
+    sigma = fz.canonical_permutation(i)
+    runs = noncrossing.cycles_of(sigma)
+    m = len(sigma)
+    lt_sigma = m - len(runs)
+    inv = [0] * m
+    tally = Counter()
+    for images in itertools.product(*map(itertools.permutations, runs)):
+        alpha = list(itertools.chain.from_iterable(images))
+        for x, a in enumerate(alpha, 1):
+            inv[a - 1] = x
+        alpha_cycles = noncrossing.cycles_of(alpha)
+        beta_cycles = noncrossing.cycles_of([inv[s - 1] for s in sigma])
+        if 2 * m - len(alpha_cycles) - len(beta_cycles) == lt_sigma:
+            tally[
+                comps.reduce_parts(map(len, alpha_cycles)),
+                comps.reduce_parts(map(len, beta_cycles)),
+            ] += 1
+    return tally
+
+
+def test_tally_equals_the_full_product_walk():
+    checked = 0
+    for n in range(1, 9):
+        for i in comps.all_compositions(n):
+            if n + len(i) <= 9:
+                assert fz.factorization_tally(i) == _full_product_tally(i), i
+                checked += 1
+    assert checked == 54
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_run_table_equals_a_two_walk_count(length):
+    # sigma on one run, relabelled: x -> x+1 mod L
+    sigma = [*range(2, length + 1), 1]
+    reference = Counter()
+    for alpha in itertools.permutations(range(1, length + 1)):
+        beta = fz.compose(fz.inverse(alpha), sigma)
+        reference[fz.ordered_cycle_type(alpha), fz.ordered_cycle_type(beta)] += 1
+    assert fz._run_table(length) == reference
+    assert sum(reference.values()) == math.factorial(length)
 
 
 def test_one_walk_tally_equals_the_per_left_type_tally():
@@ -90,8 +137,8 @@ def test_a_corrupted_coproduct_fails_the_match(monkeypatch, mutant):
         "delta_g_monomial",
         lambda index: algebra.TensorElement(("G", "G"), terms) if index == i else true(index),
     )
-    assert not fz.verify_coproduct_match(i)
-    assert fz.verify_coproduct_match((1, 2))
+    assert fz.coproduct_mismatch(i) is not None
+    assert fz.coproduct_mismatch((1, 2)) is None
 
 
 def test_restricted_enumeration_loses_no_factorization():

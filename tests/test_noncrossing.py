@@ -120,6 +120,15 @@ def test_text_of_a_lone_element_above_nine():
     assert nc.to_text(p) == "1,2,3,4,5,6,8,9,10|7"
 
 
+def test_empty_text_is_the_empty_partition():
+    (empty,) = nc.enumerate_nc(0)
+    assert nc.to_text(empty) == ""
+    assert nc.from_text("") == empty
+    assert nc.from_text(nc.to_text(empty)) == empty
+    assert (empty.n, empty.blocks) == (0, ())
+    assert nc.kreweras(empty) == empty
+
+
 def test_permutation_encoding_round_trip():
     for p in nc.enumerate_nc(6):
         assert nc.permutation_to_nc(nc.nc_to_permutation(p)) == p

@@ -429,15 +429,16 @@ def test_tensor_swap_and_json_round_trips(t):
 
 
 @st.composite
-def s_elements(draw, max_weight=5):
-    """S-basis elements of weight at most `max_weight`, a few random terms."""
+def mixed_weight_s_elements(draw, max_weight=5):
+    """S-basis elements of weight at most `max_weight`, a few random terms
+    of mixed weights (`s_elements` draws homogeneous ones)."""
     weights = st.integers(0, max_weight)
     index = weights.flatmap(lambda d: st.sampled_from(comps.all_compositions(d)))
     return NSymElement("S", draw(st.dictionaries(index, st.integers(-9, 9), max_size=4)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(s_elements())
+@given(mixed_weight_s_elements())
 def test_delta_on_either_leg_of_a_coproduct_agrees(x):
     t = algebra.coproduct(x)
     assert t.split_leg(0) == t.split_leg(1)

@@ -598,10 +598,6 @@ def antipode(x: NSymElement) -> NSymElement:
     return neg_alphabet(convert(x, "S").map_indices(comps.mirror))
 
 
-def counit(x: NSymElement) -> int:
-    return convert(x, "S").terms.get((), 0)
-
-
 def neg_alphabet(x: NSymElement) -> NSymElement:
     """The algebra automorphism A -> -A, i.e. S_n -> (-1)^n L_n."""
     terms = {i: c * (-1) ** sum(i) for i, c in convert(x, "S").terms.items()}

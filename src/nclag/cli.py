@@ -185,7 +185,8 @@ def cmd_enumerate(args):
         text = "\n".join(noncrossing.to_text(p) for p in ps)
     elif args.what == "trees":
         ts = noncrossing.enumerate_trees(n)
-        items = [repr(t) for t in ts]
+        # the empty tree (n = 0) is None, whose text form is empty
+        items = ["" if t is None else repr(t) for t in ts]
         text = "\n".join(items)
     elif args.what == "compatible":
         pairs = parking.enumerate_compatible_pairs(n)

@@ -62,13 +62,6 @@ def _cut(n, descents):
     return tuple(parts)
 
 
-def refines(j, i) -> bool:
-    """True iff j is finer than i (same weight, Des(i) a subset of Des(j))."""
-    if weight(j) != weight(i):
-        return False
-    return set(descent_set(i)) <= set(descent_set(j))
-
-
 def coarsenings(comp):
     """All compositions coarser than (or equal to) `comp`."""
     n = weight(comp)

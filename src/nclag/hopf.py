@@ -40,18 +40,6 @@ def delta_g_noncrossing(n) -> TensorElement:
     return TensorElement(("G", "G"), tally)
 
 
-def coproduct_witnesses(n, i_comp, j_comp):
-    """The noncrossing partitions realizing one tensor coefficient."""
-    out = []
-    for p in noncrossing.enumerate_nc(n + 1):
-        if (
-            p.reduced_ordered_type() == tuple(i_comp)
-            and noncrossing.kreweras(p).reduced_ordered_type() == tuple(j_comp)
-        ):
-            out.append(p)
-    return out
-
-
 def delta_g_monomial(index) -> TensorElement:
     """Coproduct of a G-basis monomial (multiplicative extension), with one
     coproduct per distinct part."""
@@ -179,15 +167,6 @@ def delta_g_commutative(t):
 def delta_g_commutative_via_trees(n):
     """Same tally from the degree-n component of the tree series."""
     return tree_series(n)[n]
-
-
-def tree_weight(t):
-    """The branch-edge monomial of a single tree, as a (u, v) subscript
-    pair (zero-edge branches are dropped)."""
-    pl, pr = noncrossing.tree_phi(t)
-    u = tuple(sorted((len(b) - 1 for b in pl.blocks if len(b) > 1), reverse=True))
-    v = tuple(sorted((len(b) - 1 for b in pr.blocks if len(b) > 1), reverse=True))
-    return u, v
 
 
 # ---------------------------------------------------------------------------

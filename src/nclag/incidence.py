@@ -281,9 +281,6 @@ class NCLattice:
             ways = [sum(ways[j] for j in _bits(mask)) for mask in self.up]
         return sum(ways)
 
-    def interval_size(self, p, q) -> int:
-        return len(self.interval(p, q))
-
 
 @lru_cache(maxsize=None)
 def lattice_oracle(n) -> NCLattice:

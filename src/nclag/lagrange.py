@@ -116,9 +116,6 @@ class GradedSeries:
         for d in range(len(xs), N + 1):
             xs.append(self._step(1, d, {}))
 
-    def truncate(self, N):
-        return GradedSeries(self.components[: N + 1])
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedSeries)
@@ -204,12 +201,6 @@ def _shared_component(k, n):
 def g_component(n) -> NSymElement:
     """Degree-n component of g on the S basis."""
     return _shared_component(1, n)
-
-
-def g_table(N) -> GradedSeries:
-    g_component(N)
-    with _cache_lock:
-        return _g_series.truncate(N)
 
 
 def g_expansion_check(n) -> bool:
@@ -342,25 +333,6 @@ def s_monomial_on_g(index) -> NSymElement:
     return NSymElement("G", acc)
 
 
-def g_to_s_matrix(n):
-    """Matrix with entry [i][j] = coefficient of S^{comps[i]} in g^{comps[j]}
-    (compositions in reverse lexicographic order)."""
-    order = comps.all_compositions(n)
-    return [
-        [g_monomial_on_s(cj).coeff(ci) for cj in order] for ci in order
-    ]
-
-
-def s_to_g_matrix(n):
-    """Inverse transition: entry [i][j] = coefficient of g^{comps[i]} in
-    S^{comps[j]}."""
-    _check_bound(n)
-    order = comps.all_compositions(n)
-    return [
-        [s_monomial_on_g(cj).coeff(ci) for cj in order] for ci in order
-    ]
-
-
 def s_to_g_via_recipe(n) -> NSymElement:
     """S_n on the G basis by substitution into the elementary expansion of
     the previous component: each L-monomial with first part a becomes the
@@ -452,13 +424,6 @@ def g_neg_via_doubling(n) -> NSymElement:
     return algebra.tilde(gk_component(2, n)).scale((-1) ** n)
 
 
-def doubled_pairing_identity_check(i_comp) -> bool:
-    """Mechanical check that the two unsigned coefficient formulas agree."""
-    lhs = _coarsening_count(comps.double(i_comp))
-    rhs = parking.ndpf_count_of_type(tuple(2 * p + 1 for p in i_comp))
-    return lhs == rhs
-
-
 def g_neg_s_coefficient_check(n) -> bool:
     """On the S basis, the negated coefficients come from shifting every part
     up by one: lambda_I = (-1)^{l(I)} delta_{I + 1^r}."""
@@ -531,36 +496,3 @@ def antipode_g_formula(n) -> NSymElement:
                 total += vp * parking.ndpf_count_of_type(comps.mirror(j))
         terms[i] = (-1) ** n * total
     return NSymElement("G", terms)
-
-
-# ---------------------------------------------------------------------------
-# The inclusion-exclusion companion basis
-
-
-def f_basis_table(n):
-    """Transition matrix of the F basis onto S: entry [i][j] is the
-    coefficient of S^{comps[i]} in f^{comps[j]} (reverse lexicographic
-    order); entries are nonnegative NDPF counts."""
-    _check_bound(n)
-    order = comps.all_compositions(n)
-    columns = []
-    for i in order:
-        f = {}
-        for j in comps.refinements(i):
-            algebra._add_into(f, g_monomial_on_s(j).terms, (-1) ** (len(j) - len(i)))
-        columns.append(NSymElement("S", f))
-    return [[columns[j].coeff(order[i]) for j in range(len(order))] for i in range(len(order))]
-
-
-def f_basis_table_via_breakpoints(n):
-    """Same matrix tallied combinatorially: each nondecreasing parking
-    function adds one unit at (its type, its breakpoint set)."""
-    order = comps.all_compositions(n)
-    pos = {tuple(sorted(comps.descent_set(c))): k for k, c in enumerate(order)}
-    typerow = {c: k for k, c in enumerate(order)}
-    mat = [[0] * len(order) for _ in order]
-    for w in parking.enumerate_ndpf(n):
-        r = typerow[parking.type_of(w)]
-        c = pos[tuple(parking.breakpoints(w))]
-        mat[r][c] += 1
-    return mat

@@ -146,7 +146,8 @@ def from_text(text: str) -> NoncrossingPartition:
             blocks.append(tuple(int(x) for x in pieces))
         else:
             blocks.append(tuple(int(ch) for ch in chunk))
-    n = max(e for b in blocks for e in b)
+    # an empty chunk ("|") leaves the constructor to reject an empty block
+    n = max((e for b in blocks for e in b), default=0)
     return NoncrossingPartition(n, blocks)
 
 
@@ -199,16 +200,6 @@ def enumerate_nc(n):
 # Kreweras complement
 
 
-def nc_to_permutation(p: NoncrossingPartition):
-    """One-line permutation whose cycles are the blocks, each traversed
-    increasingly."""
-    w = [0] * p.n
-    for b in p.blocks:
-        for k, e in enumerate(b):
-            w[e - 1] = b[(k + 1) % len(b)]
-    return w
-
-
 def cycles_of(w):
     """Cycles of a one-line permutation, listed by increasing minima, each
     starting at its minimum.  A walk that leaves 1..n or meets an element
@@ -232,16 +223,12 @@ def cycles_of(w):
     return out
 
 
-def permutation_to_nc(w) -> NoncrossingPartition:
-    return NoncrossingPartition(len(w), cycles_of(w))
-
-
 def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
     """The Kreweras complement: the cycles of K = w^-1 c (c applied first),
     K(i) = the predecessor of i mod n + 1 in its block, taken cyclically.
     Walked from each unseen start in increasing order, they are the sorted
     blocks; a revisit, or a cycle not increasing from its minimum, means
-    they are not (`nc_to_permutation` would differ from K): ArithmeticError.
+    they are not: ArithmeticError.
     """
     n = p.n
     prev = [0] * (n + 1)

@@ -137,6 +137,8 @@ def profile(w):
     """Greedy maximal factorization into shifted parking functions."""
     if not is_nondecreasing(w):
         raise ValueError("word must be nondecreasing")
+    if w and w[0] < 1:
+        raise ValueError("letters must be positive")
     starts, lengths = [], []
     pos = 0
     while pos < len(w):
@@ -155,17 +157,6 @@ def is_profile(p) -> bool:
     if not all(x >= 1 for x in s) or not all(x >= 1 for x in c):
         return False
     return all(s[i + 1] > s[i] + c[i] for i in range(len(s) - 1))
-
-
-def min_word(p):
-    """The lexicographically smallest word with the given profile."""
-    if not is_profile(p):
-        raise ValueError("not a profile")
-    s, c = p
-    out = []
-    for si, ci in zip(s, c):
-        out.extend([si] * ci)
-    return tuple(out)
 
 
 def is_parking_biprofile(left, right) -> bool:
@@ -302,7 +293,10 @@ def enumerate_compatible_pairs(n):
 def compatible_with(i_comp):
     """All J compatible with I, generated by the local move from the top
     element mirror_conjugate(I): add 1 to a part and subtract 1 from the
-    part to its right (when that part exceeds 1)."""
+    part to its right (when that part exceeds 1).  The empty composition
+    has none: a pair of weight 0 would need one part in all."""
+    if not i_comp:
+        return []
     top = comps.mirror_conjugate(i_comp)
     seen = {top}
     frontier = [top]
@@ -315,14 +309,6 @@ def compatible_with(i_comp):
                     seen.add(nxt)
                     frontier.append(nxt)
     return sorted(seen, key=lambda c: (len(c), c))
-
-
-def compatible_bottom(i_comp):
-    top = comps.mirror_conjugate(i_comp)
-    k = len(top)
-    if k == 0:
-        return ()
-    return (comps.weight(i_comp) - k + 1,) + (1,) * (k - 1)
 
 
 def dumb_bijection(i_comp, j_comp):
@@ -357,16 +343,3 @@ def dumb_bijection_inverse(word):
     if not is_compatible(*pair):
         raise ValueError("word is not the image of a compatible pair")
     return pair
-
-
-def breakpoints(w):
-    """Positions p where w splits into a parking prefix over 1..p and a
-    parking suffix shifted by p (the cut positions of the profile map used
-    by the f-basis matrix)."""
-    n = len(w)
-    out = []
-    for p in range(1, n):
-        pre, suf = w[:p], [v - p for v in w[p:]]
-        if max(pre) <= p and is_parking(pre) and min(suf) >= 1 and is_parking(suf):
-            out.append(p)
-    return out

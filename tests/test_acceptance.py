@@ -18,6 +18,9 @@ from nclag import (
     parking,
 )
 
+from test_lagrange import transition_matrix
+from test_noncrossing import permutation_to_nc
+
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
@@ -26,13 +29,13 @@ def catalan(n):
 def test_01_cubic_component_and_transition_matrices():
     g3 = lagrange.g_component(3)
     assert g3.terms == {(3,): 1, (2, 1): 2, (1, 2): 1, (1, 1, 1): 1}
-    assert lagrange.g_to_s_matrix(3) == [
+    assert transition_matrix("G", "S", 3) == [
         [1, 0, 0, 0],
         [2, 1, 0, 0],
         [1, 0, 1, 0],
         [1, 1, 1, 1],
     ]
-    assert lagrange.s_to_g_matrix(3) == [
+    assert transition_matrix("S", "G", 3) == [
         [1, 0, 0, 0],
         [-2, 1, 0, 0],
         [-1, 0, 1, 0],
@@ -161,7 +164,7 @@ def test_07_factorization_counts_match_coproduct():
 
 
 def test_08_complement_worked_example_and_tree_partitions():
-    p = nc.permutation_to_nc([5, 3, 4, 2, 7, 6, 1, 9, 8])
+    p = permutation_to_nc([5, 3, 4, 2, 7, 6, 1, 9, 8])
     k = nc.kreweras(p)
     assert k.blocks == ((1, 4), (2,), (3,), (5, 6), (7, 9), (8,))
     t = nc.rebuild_tree((3, 1, 2, 3, 2, 1), (1, 3, 1, 2, 2, 1, 2))

@@ -9,7 +9,6 @@ from nclag.algebra import (
     antipode,
     convert,
     coproduct,
-    counit,
     element_from_json_dict,
     mirror_invariance_check,
     neg_alphabet,
@@ -116,11 +115,6 @@ def test_coproduct_is_an_algebra_map():
     x = s_mono((2, 1))
     y = s_mono((1, 1))
     assert coproduct(x * y) == coproduct(x) * coproduct(y)
-
-
-def test_counit_picks_constant_term():
-    assert counit(NSymElement.one("S")) == 1
-    assert counit(s_mono((3,))) == 0
 
 
 def test_antipode_convolution_gives_counit():

@@ -95,6 +95,38 @@ def test_profile(capsys):
     assert "lengths [3, 2, 2]" in out
 
 
+def test_compatible_of_the_empty_index_agrees_with_the_enumeration(capsys):
+    code, out, _ = run(capsys, "--json", "compatible", "--index", "")
+    assert code == 0
+    assert json.loads(out) == {"index": [], "compatible": [], "count": 0}
+    code, out, _ = run(capsys, "--json", "enumerate", "--what", "compatible", "--n", "0")
+    assert code == 0
+    assert json.loads(out)["items"] == []
+
+
+def test_profile_rejects_a_letter_below_one(capsys):
+    for word in ("0", "0012"):
+        code, out, err = run(capsys, "profile", "--word", word)
+        assert (code, out) == (2, "")
+        assert "letters must be positive" in err
+
+
+def test_kreweras_rejects_an_empty_block(capsys):
+    for text in ("|", "12||3"):
+        code, out, err = run(capsys, "kreweras", "--partition", text)
+        assert (code, out) == (2, "")
+        assert err.strip() == "error: blocks must be nonempty"
+
+
+def test_enumerate_the_empty_tree(capsys):
+    # the one tree with no nodes prints as its empty text form
+    code, out, _ = run(capsys, "enumerate", "--what", "trees", "--n", "0")
+    assert (code, out) == (0, "\n")
+    code, out, _ = run(capsys, "--json", "enumerate", "--what", "trees", "--n", "0")
+    assert code == 0
+    assert json.loads(out)["items"] == [""]
+
+
 def test_kreweras(capsys):
     code, out, _ = run(capsys, "kreweras", "--partition", "157|234|6|89")
     assert code == 0

@@ -8,6 +8,25 @@ import pytest
 from nclag import algebra, compositions as comps, hopf, lagrange, noncrossing as nc, parking
 
 
+def coproduct_witnesses(n, i_comp, j_comp):
+    """The noncrossing partitions realizing one tensor coefficient."""
+    return [
+        p
+        for p in nc.enumerate_nc(n + 1)
+        if p.reduced_ordered_type() == tuple(i_comp)
+        and nc.kreweras(p).reduced_ordered_type() == tuple(j_comp)
+    ]
+
+
+def tree_weight(t):
+    """The branch-edge monomial of a single tree, as a (u, v) subscript
+    pair (zero-edge branches are dropped)."""
+    pl, pr = nc.tree_phi(t)
+    u = tuple(sorted((len(b) - 1 for b in pl.blocks if len(b) > 1), reverse=True))
+    v = tuple(sorted((len(b) - 1 for b in pr.blocks if len(b) > 1), reverse=True))
+    return u, v
+
+
 def test_three_coproduct_routes_agree():
     for n in range(6):
         a = hopf.delta_g_algebraic(n)
@@ -50,7 +69,7 @@ def test_degree_five_coefficients():
 def test_witnesses_match_coefficients():
     t = hopf.delta_g_noncrossing(5)
     for i, j in (((1, 2), (1, 1)), ((2, 1), (1, 1)), ((4,), (1,))):
-        ws = hopf.coproduct_witnesses(5, i, j)
+        ws = coproduct_witnesses(5, i, j)
         assert len(ws) == t.coeff(i, j)
         for p in ws:
             assert p.reduced_ordered_type() == i
@@ -126,14 +145,14 @@ def test_commutative_image_two_routes():
 
 def test_tree_weight_of_worked_example():
     t = nc.rebuild_tree((3, 1, 2, 3, 2, 1), (1, 3, 1, 2, 2, 1, 2))
-    assert hopf.tree_weight(t) == ((2, 2, 1, 1), (2, 1, 1, 1))
+    assert tree_weight(t) == ((2, 2, 1, 1), (2, 1, 1, 1))
 
 
 def test_tree_weights_tally_to_series():
     for n in range(1, 6):
         tally = {}
         for t in nc.enumerate_trees(n + 1):
-            key = hopf.tree_weight(t)
+            key = tree_weight(t)
             tally[key] = tally.get(key, 0) + 1
         assert tally == hopf.delta_g_commutative_via_trees(n)
 

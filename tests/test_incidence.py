@@ -114,14 +114,14 @@ def test_lower_interval_sizes_factor_over_blocks():
         want = 1
         for b in p.blocks:
             want *= catalan(len(b))
-        assert lat.interval_size(lat.bottom, p) == want
+        assert len(lat.interval(lat.bottom, p)) == want
 
 
 def test_upper_interval_matches_complement():
     lat = inc.lattice_oracle(6)
     for p in lat.elements:
         k = nc.kreweras(p)
-        assert lat.interval_size(p, lat.top) == lat.interval_size(lat.bottom, k)
+        assert len(lat.interval(p, lat.top)) == len(lat.interval(lat.bottom, k))
 
 
 def _brute_cycle_factorizations(n, orders):

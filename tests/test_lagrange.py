@@ -9,6 +9,22 @@ from nclag import algebra, compositions as comps, lagrange, parking
 from nclag.algebra import NSymElement
 
 
+def transition_matrix(source, target, n):
+    """Entry [i][j] is the coefficient of target^I in source^J, I and J the
+    i-th and j-th compositions of n in reverse lexicographic order, read
+    off `algebra.convert`."""
+    order = comps.all_compositions(n)
+    columns = [algebra.convert(NSymElement.monomial(source, j), target) for j in order]
+    return [[column.coeff(i) for column in columns] for i in order]
+
+
+def g_table(N):
+    """The cached components g_0..g_N of g as a given series."""
+    lagrange.g_component(N)
+    with lagrange._cache_lock:
+        return lagrange.GradedSeries(lagrange._g_series.components[: N + 1])
+
+
 def test_cubic_component_on_s():
     g3 = lagrange.g_component(3)
     assert g3.terms == {(3,): 1, (2, 1): 2, (1, 2): 1, (1, 1, 1): 1}
@@ -24,13 +40,13 @@ def test_degree_zero_is_one():
 
 
 def test_transition_matrices_degree_three():
-    assert lagrange.g_to_s_matrix(3) == [
+    assert transition_matrix("G", "S", 3) == [
         [1, 0, 0, 0],
         [2, 1, 0, 0],
         [1, 0, 1, 0],
         [1, 1, 1, 1],
     ]
-    assert lagrange.s_to_g_matrix(3) == [
+    assert transition_matrix("S", "G", 3) == [
         [1, 0, 0, 0],
         [-2, 1, 0, 0],
         [-1, 0, 1, 0],
@@ -40,8 +56,8 @@ def test_transition_matrices_degree_three():
 
 def test_transition_matrices_are_inverse():
     for n in range(1, 6):
-        a = lagrange.g_to_s_matrix(n)
-        b = lagrange.s_to_g_matrix(n)
+        a = transition_matrix("G", "S", n)
+        b = transition_matrix("S", "G", n)
         size = len(a)
         for i in range(size):
             for j in range(size):
@@ -150,7 +166,7 @@ def test_k_analogue_counts_k_parking_types():
 
 
 def test_series_inverse_is_two_sided():
-    g = lagrange.g_table(6)
+    g = g_table(6)
     inv = lagrange.series_inverse(g)
     for d in range(7):
         want = NSymElement.one("S") if d == 0 else NSymElement.zero("S")
@@ -206,9 +222,10 @@ def test_negated_alphabet_s_coefficients():
 
 
 def test_doubled_pairing_identity():
+    # coefficient by coefficient: the doubled-index pairing count equals the
+    # parking-function count of the doubled-plus-one type
     for n in range(1, 6):
-        for i in comps.all_compositions(n):
-            assert lagrange.doubled_pairing_identity_check(i)
+        assert lagrange.g_neg_via_pairing(n) == lagrange.g_neg_via_counting(n)
 
 
 def test_antipode_three_routes_agree():
@@ -248,17 +265,44 @@ def test_pairing_values_degree_three():
     assert lagrange.v_pairing((1, 2), (2, 1)) == 0
 
 
+def breakpoints(w):
+    """Positions p where w splits into a parking prefix over 1..p and a
+    parking suffix shifted by p (the cut positions of the profile map used
+    by the f-basis matrix)."""
+    n = len(w)
+    out = []
+    for p in range(1, n):
+        pre, suf = w[:p], [v - p for v in w[p:]]
+        if max(pre) <= p and parking.is_parking(pre) and min(suf) >= 1 and parking.is_parking(suf):
+            out.append(p)
+    return out
+
+
+def f_basis_table_via_breakpoints(n):
+    """The matrix of F onto S tallied combinatorially: each nondecreasing
+    parking function adds one unit at (its type, its breakpoint set)."""
+    order = comps.all_compositions(n)
+    pos = {tuple(sorted(comps.descent_set(c))): k for k, c in enumerate(order)}
+    typerow = {c: k for k, c in enumerate(order)}
+    mat = [[0] * len(order) for _ in order]
+    for w in parking.enumerate_ndpf(n):
+        r = typerow[parking.type_of(w)]
+        c = pos[tuple(breakpoints(w))]
+        mat[r][c] += 1
+    return mat
+
+
 def test_f_change_of_basis_two_routes():
     for n in range(1, 7):
-        assert lagrange.f_basis_table(n) == lagrange.f_basis_table_via_breakpoints(n)
+        assert transition_matrix("F", "S", n) == f_basis_table_via_breakpoints(n)
 
 
 def test_f_change_of_basis_entries_are_integers():
-    assert all(type(c) is int for row in lagrange.f_basis_table(4) for c in row)
+    assert all(type(c) is int for row in transition_matrix("F", "S", 4) for c in row)
 
 
 def test_f_change_of_basis_degree_three():
-    assert lagrange.f_basis_table(3) == [
+    assert transition_matrix("F", "S", 3) == [
         [1, 0, 0, 0],
         [1, 1, 0, 0],
         [0, 0, 1, 0],

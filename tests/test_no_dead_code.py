@@ -4,10 +4,15 @@ private module-level function, is named somewhere besides its own
 or docstring does not count, but a string that is exactly the name does
 (the benchmark tracer patches functions by name).  ``cmd_*`` handlers are
 exempt because ``cli.main`` dispatches them by name, and dunders because
-Python calls them."""
+Python calls them.
+
+A second, stricter tripwire leaves the tests out: a public function that
+only tests reach must be documented in ``README.md`` (in backticks) as
+public API, or move into the test that uses it."""
 
 import ast
 import io
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -15,12 +20,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nclag"
 SEARCHED = [PACKAGE, ROOT / "tests", ROOT / "perfbench"]
+OUTSIDE_TESTS = [PACKAGE, ROOT / "perfbench"]
 
 
-def _mentions():
+def _mentions(searched=SEARCHED):
     """How often each identifier occurs as a name or a string literal."""
     count = Counter()
-    for root in SEARCHED:
+    for root in searched:
         for path in root.rglob("*.py"):
             for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
                 if tok.type == tokenize.NAME:
@@ -50,9 +56,9 @@ def _private_module_defs():
                 yield f"{path.relative_to(ROOT)}:{node.lineno}", node.name
 
 
-def _unnamed(defs):
+def _unnamed(defs, mentions=None):
     def_count = Counter(name for _, name in defs)
-    mentions = _mentions()
+    mentions = _mentions() if mentions is None else mentions
     return [f"{where} {name}" for where, name in defs if mentions[name] <= def_count[name]]
 
 
@@ -64,3 +70,20 @@ def test_every_public_function_is_named_besides_its_def():
 def test_every_private_module_function_is_named_besides_its_def():
     dead = _unnamed(list(_private_module_defs()))
     assert not dead, "named nowhere but their def: " + ", ".join(dead)
+
+
+def _readme_names():
+    """The names of README.md's inline code spans that are a dotted name,
+    optionally called: `psi_k`, `NCLattice.interval(p, q)`."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    return Counter(
+        name
+        for dotted in re.findall(r"`([A-Za-z_][\w.]*)(?:\([^`]*\))?`", text)
+        for name in dotted.split(".")
+    )
+
+
+def test_every_public_function_is_reached_outside_the_tests_or_documented():
+    mentions = _mentions(OUTSIDE_TESTS) + _readme_names()
+    dead = _unnamed(list(_public_defs()), mentions)
+    assert not dead, "reached from the tests alone and not in README: " + ", ".join(dead)

@@ -6,6 +6,8 @@ import pytest
 
 from nclag import compositions as comps, parking
 
+from test_lagrange import breakpoints
+
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
@@ -102,9 +104,32 @@ def test_profile_worked_value():
     assert parking.profile((2, 3, 3, 6, 7, 9, 9)) == ((2, 6, 9), (3, 2, 2))
 
 
+def min_word(p):
+    """The lexicographically smallest word with the given profile."""
+    if not parking.is_profile(p):
+        raise ValueError("not a profile")
+    s, c = p
+    out = []
+    for si, ci in zip(s, c):
+        out.extend([si] * ci)
+    return tuple(out)
+
+
+def test_profile_rejects_a_letter_below_one():
+    for w in ((0,), (0, 1, 2), (-1, 1)):
+        with pytest.raises(ValueError, match="positive"):
+            parking.profile(w)
+    assert parking.profile(()) == ((), ())
+
+
+def test_compatible_with_the_empty_composition_is_empty():
+    assert parking.compatible_with(()) == []
+    assert parking.enumerate_compatible_pairs(0) == []
+
+
 def test_profile_round_trip_on_minimal_words():
     for p in parking._profiles_of_length(4, 6):
-        assert parking.profile(parking.min_word(p)) == p
+        assert parking.profile(min_word(p)) == p
 
 
 def joint_profile(left, right):
@@ -215,7 +240,7 @@ def test_weight_four_compatible_pairs():
 
 
 def test_compatibility_closure_matches_enumeration():
-    for n in range(1, 7):
+    for n in range(0, 7):
         pairs = parking.enumerate_compatible_pairs(n)
         for i in comps.all_compositions(n):
             want = sorted(
@@ -228,7 +253,14 @@ def test_compatibility_closure_of_321():
     js = parking.compatible_with((3, 2, 1))
     assert len(js) == 9
     assert js[0] == (1, 1, 2, 2)
-    assert parking.compatible_bottom((3, 2, 1)) == (3, 1, 1, 1)
+    assert js[-1] == (3, 1, 1, 1)
+
+
+def test_last_compatible_composition_is_the_bottom():
+    # the closure ends at (l(I), 1, ..., 1), with n - l(I) ones
+    for n in range(1, 8):
+        for i in comps.all_compositions(n):
+            assert parking.compatible_with(i)[-1] == (len(i),) + (1,) * (n - len(i))
 
 
 def test_direct_bijection_worked_value():
@@ -250,9 +282,9 @@ def test_direct_bijection_is_onto_parking_functions():
 
 
 def test_breakpoints():
-    assert parking.breakpoints((1, 1, 3, 4)) == [2, 3]
-    assert parking.breakpoints((1, 2, 2)) == [1]
-    assert parking.breakpoints((1, 1, 1)) == []
+    assert breakpoints((1, 1, 3, 4)) == [2, 3]
+    assert breakpoints((1, 2, 2)) == [1]
+    assert breakpoints((1, 1, 1)) == []
 
 
 def test_incompatible_pair_rejected():

@@ -6,7 +6,12 @@ check that nothing cached changed."""
 from nclag import algebra, compositions as comps, hopf, lagrange
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
-from test_lagrange import series_product_component
+from test_lagrange import (
+    f_basis_table_via_breakpoints,
+    g_table,
+    series_product_component,
+    transition_matrix,
+)
 
 N = 6
 QSYM_N = 4
@@ -67,13 +72,13 @@ def _run_readers():
         assert k[0] == k[1] == k[2]
     assert lagrange.free_cumulant_check(N)
     assert lagrange.gamma_check(N)
-    inv = lagrange.series_inverse(lagrange.g_table(N))
-    assert series_product_component(inv, lagrange.g_table(N), N).is_zero()
+    inv = lagrange.series_inverse(g_table(N))
+    assert series_product_component(inv, g_table(N), N).is_zero()
     for n in range(1, N + 1):
         assert lagrange.s_to_g_via_recipe(n) == lagrange.s_generator_on_g(n)
         assert lagrange.g_neg(n) == lagrange.g_neg_via_doubling(n)
         assert lagrange.g_expansion_check(n)
-    assert lagrange.f_basis_table(4) == lagrange.f_basis_table_via_breakpoints(4)
+    assert transition_matrix("F", "S", 4) == f_basis_table_via_breakpoints(4)
     assert hopf.delta_g_monomial((2, 1)) == hopf.delta_g_algebraic(2) * hopf.delta_g_algebraic(1)
 
 

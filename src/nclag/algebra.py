@@ -61,22 +61,37 @@ def _mul_into(acc, x_terms, y_terms, c=1):
     return acc
 
 
-def _products_into(acc, terms, factor):
+def _legwise_mul_into(acc, x_terms, y_terms):
+    """acc += x * y, in place, for tensors whose product concatenates
+    indices leg by leg."""
+    get = acc.get
+    # every pair of terms in order, leg by leg: the concatenations of one
+    # leg, the key tuples and the coefficients all come from C iterators
+    legs = [starmap(add, product(a, b)) for a, b in zip(zip(*x_terms), zip(*y_terms))]
+    coeffs = starmap(mul, product(x_terms.values(), y_terms.values()))
+    for k, c in zip(zip(*legs), coeffs):
+        acc[k] = get(k, 0) + c
+    return acc
+
+
+def _products_into(acc, terms, factor, mul_into=_mul_into, unit=()):
     """acc += sum over I of terms[I] * factor(i_1) * ... * factor(i_r), in
-    place, where factor(p) gives the terms of one factor of a product that
-    concatenates indices.
+    place, where factor(p) gives the terms of one factor of a product, by
+    default one that concatenates indices; `mul_into` (like `_mul_into`)
+    and `unit`, the index of the product's unit, give another.
 
     Horner's rule on the first part: sum_I c_I f(I) = sum_p factor(p) *
     (sum_J c_(p,J) f(J)), so each tail is expanded once and its terms cancel
-    before factor(p) multiplies them.  The tails of the prefixes of one
-    length are finished together, longest first, so nothing recurses on the
-    length of an index.
+    or merge before factor(p) multiplies them.  The tails of the prefixes
+    of one length are finished together, longest first, so nothing recurses
+    on the length of an index.  factor(p) is called once per distinct part.
     """
+    factors = {}
     # levels[r]: each prefix P of length r -> the expanded tail of P
     levels = {}
     for i, c in terms.items():
         if c:
-            levels.setdefault(len(i), {})[i] = {(): c}
+            levels.setdefault(len(i), {})[i] = {unit: c}
     if not levels:
         return acc
     top = max(levels)
@@ -90,7 +105,11 @@ def _products_into(acc, terms, factor):
                 into = parents.get(head)
                 if into is None:
                     into = parents[head] = {}
-                _mul_into(into, factor(prefix[-1]), tail)
+                p = prefix[-1]
+                f = factors.get(p)
+                if f is None:
+                    f = factors[p] = factor(p)
+                mul_into(into, f, tail)
         tails = parents
     return _add_into(acc, tails.get((), {}))
 
@@ -270,6 +289,13 @@ def _ribbon_product(x, y):
     return NSymElement("R", terms)
 
 
+def _split_generator(p):
+    """Delta S_p = sum over a of S_a (x) S_(p-a), as two-leg terms; S_0 is
+    the empty index."""
+    pieces = [(a,) if a else () for a in range(p + 1)]
+    return dict.fromkeys(zip(pieces, reversed(pieces)), 1)
+
+
 class TensorElement(_Element):
     """A finite combination of tensors of k >= 1 NSym monomials with integer
     coefficients.
@@ -300,15 +326,7 @@ class TensorElement(_Element):
         self._check(other)
         if not all(b in _MULTIPLICATIVE for b in self.basis):
             raise BasisMismatch("tensor product needs multiplicative bases on every leg")
-        acc = {}
-        get = acc.get
-        # every pair of terms in order, leg by leg: the concatenations of one
-        # leg, the key tuples and the coefficients all come from C iterators
-        legs = [starmap(add, product(a, b)) for a, b in zip(zip(*self.terms), zip(*other.terms))]
-        coeffs = starmap(mul, product(self.terms.values(), other.terms.values()))
-        for k, c in zip(zip(*legs), coeffs):
-            acc[k] = get(k, 0) + c
-        return TensorElement._adopt(self.basis, acc)
+        return TensorElement._adopt(self.basis, _legwise_mul_into({}, self.terms, other.terms))
 
     def coeff(self, *legs) -> int:
         return self.terms.get(tuple(map(tuple, legs)), 0)
@@ -324,23 +342,21 @@ class TensorElement(_Element):
 
     def split_leg(self, m):
         """Delta on leg m, an S leg, so k legs become k + 1: S^I there becomes
-        the product over its parts p of Delta S_p = sum of S_a (x) S_(p-a)."""
+        the product over its parts p of Delta S_p = sum of S_a (x) S_(p-a).
+
+        The terms that agree off leg m split together, by Horner's rule
+        (`_products_into` with the two-leg product), so splits that meet
+        merge before the next part multiplies them."""
         if not 0 <= m < len(self.basis) or self.basis[m] != "S":
             raise BasisMismatch(f"Delta splits an S leg, and leg {m} of {self.basis!r} is none")
-        acc = {}
-        get = acc.get
+        groups = {}
         for index, c in self.terms.items():
-            head, tail = index[:m], index[m + 1 :]
-            # the left and the right pieces of every split, concatenated part
-            # by part; S_0 is the empty index
-            lefts, rights = [()], [()]
-            for p in index[m]:
-                pieces = [(a,) if a else () for a in range(p + 1)]
-                lefts = [l + a for l in lefts for a in pieces]
-                rights = [r + b for r in rights for b in reversed(pieces)]
-            for l, r in zip(lefts, rights):
-                k = (*head, l, r, *tail)
-                acc[k] = get(k, 0) + c
+            groups.setdefault((index[:m], index[m + 1 :]), {})[index[m]] = c
+        acc = {}
+        for (head, tail), leg in groups.items():
+            pairs = _products_into({}, leg, _split_generator, _legwise_mul_into, ((), ()))
+            for (l, r), c in pairs.items():
+                acc[(*head, l, r, *tail)] = c
         return TensorElement._adopt((*self.basis[:m], "S", "S", *self.basis[m + 1 :]), acc)
 
     def map_legs(self, *fns):

@@ -9,7 +9,6 @@ the owning modules.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -25,6 +24,7 @@ from . import (
     noncrossing,
     parking,
 )
+from .cache import cached
 
 
 class UsageError(Exception):
@@ -39,9 +39,10 @@ def _comp_arg(text):
 
 
 def _word_arg(text):
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return tuple(int(ch) for ch in text)
+    try:
+        return comps.parse_parts(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a word: {text!r}") from None
 
 
 def _emit(args, payload, text):
@@ -172,31 +173,35 @@ def cmd_enumerate(args):
     lagrange._check_bound(n)
     if args.what == "ndpf":
         _check_ndpf_count(n, args.k)
+    # items() builds the JSON items and lines() the text lines: only the
+    # form asked for is built
     if args.what == "compositions":
-        items = [list(c) for c in comps.all_compositions(n)]
-        text = "\n".join(comps.to_text(c) for c in comps.all_compositions(n))
+        cs = comps.all_compositions(n)
+        items = lambda: [list(c) for c in cs]
+        lines = lambda: map(comps.to_text, cs)
     elif args.what == "ndpf":
         words = parking.enumerate_k_ndpf(n, args.k)
-        items = [list(w) for w in words]
-        text = "\n".join("".join(map(str, w)) for w in words)
+        items = lambda: [list(w) for w in words]
+        lines = lambda: ("".join(map(str, w)) for w in words)
     elif args.what == "nc":
         ps = noncrossing.enumerate_nc(n)
-        items = [[list(b) for b in p.blocks] for p in ps]
-        text = "\n".join(noncrossing.to_text(p) for p in ps)
+        items = lambda: [[list(b) for b in p.blocks] for p in ps]
+        lines = lambda: map(noncrossing.to_text, ps)
     elif args.what == "trees":
         ts = noncrossing.enumerate_trees(n)
         # the empty tree (n = 0) is None, whose text form is empty
-        items = ["" if t is None else repr(t) for t in ts]
-        text = "\n".join(items)
+        items = lines = lambda: ["" if t is None else repr(t) for t in ts]
     elif args.what == "compatible":
         pairs = parking.enumerate_compatible_pairs(n)
-        items = [[list(i), list(j)] for i, j in pairs]
-        text = "\n".join(
-            f"{comps.to_text(i)} | {comps.to_text(j)}" for i, j in pairs
-        )
+        items = lambda: [[list(i), list(j)] for i, j in pairs]
+        lines = lambda: (f"{comps.to_text(i)} | {comps.to_text(j)}" for i, j in pairs)
     else:
         raise AssertionError(args.what)
-    _emit(args, {"what": args.what, "n": n, "items": items}, text)
+    _emit_lazy(
+        args,
+        lambda: {"what": args.what, "n": n, "items": items()},
+        lambda: "\n".join(lines()),
+    )
     return 0
 
 
@@ -800,7 +805,7 @@ def build_parser():
     return p
 
 
-@functools.cache
+@cached
 def _shared_parser():
     """The parser every ``main`` call of this process uses, built on the
     first call and not at import: building one costs about as much as a

@@ -140,13 +140,22 @@ def from_text(text) -> tuple:
     text = text.strip()
     if not text:
         return ()
+    try:
+        parts = parse_parts(text)
+        if is_composition(parts):
+            return parts
+    except ValueError:
+        pass
+    raise ValueError(f"not a composition: {text!r}")
+
+
+def parse_parts(text) -> tuple:
+    """The integers of a comma list, with an optional trailing comma, or
+    the digits of a digit string; ValueError on an empty or non-integer
+    part."""
     if "," in text:
         pieces = text.split(",")
-        if len(pieces) > 1 and not pieces[-1]:
+        if not pieces[-1]:
             pieces.pop()
-        parts = tuple(int(p) for p in pieces)
-    else:
-        parts = tuple(int(ch) for ch in text)
-    if not is_composition(parts):
-        raise ValueError(f"not a composition: {text!r}")
-    return parts
+        return tuple(map(int, pieces))
+    return tuple(map(int, text))

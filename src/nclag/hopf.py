@@ -9,8 +9,13 @@ from collections import Counter
 
 from . import lagrange, noncrossing, parking
 from .algebra import TensorElement, coproduct as s_coproduct
+from .cache import cached
+
+# Each route of Delta g_n is memoized per n on its own, so no route reads
+# another's result: the CLI and `verify` ask for the same n again and again.
 
 
+@cached(guard=lagrange._check_bound)
 def delta_g_algebraic(n) -> TensorElement:
     """Coproduct of g_n: expand on S, split the generators, convert each
     tensor leg back to the G basis."""
@@ -18,6 +23,7 @@ def delta_g_algebraic(n) -> TensorElement:
     return t.map_legs(lagrange.s_monomial_on_g, lagrange.s_monomial_on_g)
 
 
+@cached
 def delta_g_biprofiles(n) -> TensorElement:
     """Coproduct tallied over parking biprofiles: each contributes the
     monomial indexed by its two length tuples."""
@@ -27,6 +33,7 @@ def delta_g_biprofiles(n) -> TensorElement:
     return TensorElement(("G", "G"), tally)
 
 
+@cached
 def delta_g_noncrossing(n) -> TensorElement:
     """Coproduct tallied over noncrossing partitions of a set one larger:
     reduced ordered type on the left leg, reduced ordered type of the

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from . import lagrange, noncrossing
 from .algebra import NSymElement
+from .cache import cached
 
 
 class MultiplicativeFunction:
@@ -282,6 +282,6 @@ class NCLattice:
         return sum(ways)
 
 
-@lru_cache(maxsize=None)
+@cached
 def lattice_oracle(n) -> NCLattice:
     return NCLattice(n)

@@ -29,10 +29,10 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from functools import lru_cache
 
 from . import algebra, compositions as comps, parking
 from .algebra import NSymElement, QSymElement
+from .cache import cached
 
 
 def max_degree() -> int:
@@ -46,6 +46,16 @@ def _check_bound(n):
             f"degree {n} exceeds the table bound {max_degree()} "
             "(raise NCLAG_MAX_DEGREE to extend)"
         )
+
+
+def _check_parts_bound(index):
+    """The bound on every part of a monomial, each part p an S_p on G."""
+    _check_bound(max(index, default=0))
+
+
+def _check_weight_bound(index):
+    """The bound on the weight of a monomial."""
+    _check_bound(sum(index))
 
 
 _ONE, _ZERO = NSymElement.one("S"), NSymElement.zero("S")
@@ -307,19 +317,18 @@ def gamma_check(N) -> bool:
 # S <-> G transitions
 
 
-@lru_cache(maxsize=None)
+@cached
 def g_monomial_on_s(index) -> NSymElement:
     """Expansion of a G-basis monomial on the S basis."""
     acc = algebra._products_into({}, {index: 1}, lambda p: g_component(p).terms)
     return NSymElement("S", acc)
 
 
-@lru_cache(maxsize=None)
+@cached(guard=_check_bound)
 def s_generator_on_g(n) -> NSymElement:
     """Expansion of S_n on the G basis, by peeling the leading term of g_n:
     S_n = g_n - (the other terms of g_n, whose parts are all below n), the
     latter expanded by the S -> G pass over the generators below n."""
-    _check_bound(n)
     if n == 0:
         return NSymElement.one("G")
     rest = {j: -c for j, c in g_component(n).terms.items() if j != (n,)}
@@ -327,7 +336,7 @@ def s_generator_on_g(n) -> NSymElement:
     return NSymElement("G", acc)
 
 
-@lru_cache(maxsize=None)
+@cached(guard=_check_parts_bound)
 def s_monomial_on_g(index) -> NSymElement:
     acc = algebra._products_into({}, {index: 1}, lambda p: s_generator_on_g(p).terms)
     return NSymElement("G", acc)
@@ -362,8 +371,6 @@ def _transposed_column(table, index, basis):
     the refinements of j, and only the coarsenings j of `index` are read:
     2^(l-1) lookups for an index of length l, 3^(n-1) for all the columns
     of weight n, one per pair (j, a refinement of j)."""
-    index = tuple(index)
-    _check_bound(sum(index))
     terms = {}
     for j in comps.coarsenings(index):
         c = table(j).terms.get(index)
@@ -372,13 +379,13 @@ def _transposed_column(table, index, basis):
     return QSymElement(basis, terms)
 
 
-@lru_cache(maxsize=None)
+@cached(guard=_check_weight_bound)
 def m_monomial_on_c(index):
     """M_I on the dual-of-G basis: coefficients read off the g-on-S table."""
     return _transposed_column(g_monomial_on_s, index, "C")
 
 
-@lru_cache(maxsize=None)
+@cached(guard=_check_weight_bound)
 def c_monomial_on_m(index):
     """A dual-of-G monomial on the M basis, via the S-on-G table."""
     return _transposed_column(s_monomial_on_g, index, "M")
@@ -439,9 +446,9 @@ def g_neg_s_coefficient_check(n) -> bool:
 # The antipode of g on the G basis (three routes)
 
 
+@cached(guard=_check_bound)
 def antipode_g(n) -> NSymElement:
     """Antipode of g_n expanded on the G basis (generic Hopf route)."""
-    _check_bound(n)
     return algebra.convert(algebra.antipode(g_component(n)), "G")
 
 

@@ -8,9 +8,9 @@ the ordered type is a plain projection.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 
 from . import compositions as comps, parking
+from .cache import cached
 
 
 class NoncrossingPartition:
@@ -137,15 +137,10 @@ def from_text(text: str) -> NoncrossingPartition:
     text = text.strip()
     if not text:
         return NoncrossingPartition(0, ())
-    blocks = []
-    for chunk in text.split("|"):
-        if "," in chunk:
-            pieces = chunk.split(",")
-            if not pieces[-1]:
-                pieces.pop()
-            blocks.append(tuple(int(x) for x in pieces))
-        else:
-            blocks.append(tuple(int(ch) for ch in chunk))
+    try:
+        blocks = [comps.parse_parts(chunk) for chunk in text.split("|")]
+    except ValueError:
+        raise ValueError(f"not a partition: {text!r}") from None
     # an empty chunk ("|") leaves the constructor to reject an empty block
     n = max((e for b in blocks for e in b), default=0)
     return NoncrossingPartition(n, blocks)
@@ -316,7 +311,7 @@ def enumerate_trees(n):
     return _trees(n)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _trees(n):
     if n == 0:
         return (None,)

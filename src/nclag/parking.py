@@ -10,9 +10,9 @@ belongs to the empty word.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from . import compositions as comps
+from .cache import cached
 
 
 def is_nondecreasing(w) -> bool:
@@ -77,7 +77,7 @@ def type_of(w):
     return tuple(len(list(g)) for _, g in itertools.groupby(w))
 
 
-@lru_cache(maxsize=None)
+@cached
 def ndpf_count_of_type(comp) -> int:
     """Number of nondecreasing parking functions with packed evaluation comp.
 
@@ -151,12 +151,17 @@ def profile(w):
 
 
 def is_profile(p) -> bool:
+    """Positive lengths, and each start past the end s_i + c_i of the
+    biletter before it (the first past 0), in one pass."""
     s, c = p
     if len(s) != len(c):
         return False
-    if not all(x >= 1 for x in s) or not all(x >= 1 for x in c):
-        return False
-    return all(s[i + 1] > s[i] + c[i] for i in range(len(s) - 1))
+    end = 0
+    for x, y in zip(s, c):
+        if x <= end or y < 1:
+            return False
+        end = x + y
+    return True
 
 
 def is_parking_biprofile(left, right) -> bool:
@@ -223,23 +228,23 @@ def enumerate_parking_biprofiles(n):
 
 def c_map(p, n):
     """Encode a profile as a composition of n (the map C of the coproduct
-    combinatorics), padding with trailing ones."""
+    combinatorics), padding with trailing ones.
+
+    Positions 1..n are written left to right: a part 1 for each position
+    before the start s_i, then the part 1 + c_i, which covers s_i and the
+    c_i positions after it."""
     s, c = p
     if not is_profile(p):
         raise ValueError("not a profile")
     if s and n < s[-1] + c[-1]:
         raise ValueError("n too small for this profile")
     parts = []
-    s, c = list(s), list(c)
-    while s:
-        if s[0] == 1:
-            parts.append(1 + c[0])
-            shift = c[0] + 1
-            s, c = [x - shift for x in s[1:]], c[1:]
-        else:
-            parts.append(1)
-            s = [x - 1 for x in s]
-    parts.extend([1] * (n - sum(parts)))
+    end = 0  # the positions written so far
+    for x, y in zip(s, c):
+        parts += [1] * (x - 1 - end)
+        parts.append(1 + y)
+        end = x + y
+    parts += [1] * (n - end)
     return tuple(parts)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from nclag import algebra, compositions as comps
+from nclag import algebra, compositions as comps, lagrange
 from nclag.algebra import (
     BasisMismatch,
     NSymElement,
@@ -208,6 +208,47 @@ def test_split_leg_turns_k_legs_into_k_plus_one():
     for m in (0, 2, -1):
         with pytest.raises(BasisMismatch):
             t.split_leg(m)
+
+
+def split_leg_per_term(t, m):
+    """The reference for `split_leg`: every term expands all of its
+    splits, one per choice of a split of each part, and they merge after."""
+    acc = {}
+    for index, c in t.terms.items():
+        head, tail = index[:m], index[m + 1 :]
+        lefts, rights = [()], [()]
+        for p in index[m]:
+            pieces = [(a,) if a else () for a in range(p + 1)]
+            lefts = [l + a for l in lefts for a in pieces]
+            rights = [r + b for r in rights for b in reversed(pieces)]
+        for l, r in zip(lefts, rights):
+            k = (*head, l, r, *tail)
+            acc[k] = acc.get(k, 0) + c
+    return TensorElement((*t.basis[:m], "S", "S", *t.basis[m + 1 :]), acc)
+
+
+def test_split_leg_equals_the_per_term_expansion():
+    g = [lagrange.g_component(d) for d in range(7)]
+    one_leg = [coproduct(x) for x in g]
+    two_legs = [coproduct(g[5]), coproduct(g[3] - g[2] * g[1].scale(3))]
+    # terms that agree off the split leg, and that cancel after the split
+    three_legs = [t.split_leg(1) for t in two_legs] + [
+        TensorElement(
+            ("G", "S", "S"),
+            {
+                ((1,), (2, 1), ()): 2,
+                ((1,), (1, 2), ()): -2,
+                ((), (3,), (1,)): 5,
+                ((1,), (1, 1, 1), ()): -1,
+            },
+        )
+    ]
+    for t in one_leg + two_legs + three_legs:
+        for m, b in enumerate(t.basis):
+            if b == "S":
+                assert t.split_leg(m) == split_leg_per_term(t, m)
+    g6 = TensorElement(("S",), {(i,): c for i, c in g[6].terms.items()})
+    assert coproduct(g[6]) == split_leg_per_term(g6, 0)
 
 
 def test_three_leg_term_order_does_not_depend_on_insertion_order():

@@ -1,0 +1,129 @@
+"""The cache registry: every memo of the package is a `cached` function,
+`clear_caches` empties them all and the shared series, and a degree bound
+refuses a cache hit as it refuses a miss."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from nclag import algebra, cache, cli, compositions as comps, hopf, incidence, lagrange, noncrossing, parking
+from nclag.algebra import QSymElement
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nclag"
+
+MEMOS = {
+    "nclag.lagrange.g_monomial_on_s": lagrange.g_monomial_on_s,
+    "nclag.lagrange.s_generator_on_g": lagrange.s_generator_on_g,
+    "nclag.lagrange.s_monomial_on_g": lagrange.s_monomial_on_g,
+    "nclag.lagrange.m_monomial_on_c": lagrange.m_monomial_on_c,
+    "nclag.lagrange.c_monomial_on_m": lagrange.c_monomial_on_m,
+    "nclag.lagrange.antipode_g": lagrange.antipode_g,
+    "nclag.hopf.delta_g_algebraic": hopf.delta_g_algebraic,
+    "nclag.hopf.delta_g_biprofiles": hopf.delta_g_biprofiles,
+    "nclag.hopf.delta_g_noncrossing": hopf.delta_g_noncrossing,
+    "nclag.incidence.lattice_oracle": incidence.lattice_oracle,
+    "nclag.noncrossing._trees": noncrossing._trees,
+    "nclag.parking.ndpf_count_of_type": parking.ndpf_count_of_type,
+    "nclag.cli._shared_parser": cli._shared_parser,
+}
+
+
+def test_no_memo_outside_the_registry():
+    pattern = re.compile(r"\blru_cache\b|functools\.cache\b|from functools import .*\bcache\b")
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cache.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, "memos outside cache.py: " + ", ".join(found)
+
+
+def test_registry_holds_every_memo():
+    assert cache.REGISTRY == MEMOS
+    for memo in MEMOS.values():
+        assert memo.cache_info().maxsize is None
+
+
+def _fill():
+    out = []
+    for n in range(6):
+        out += [
+            lagrange.g_component(n),
+            lagrange.gk_component(2, n),
+            lagrange.antipode_g(n),
+            hopf.delta_g_algebraic(n),
+            hopf.delta_g_biprofiles(n),
+            hopf.delta_g_noncrossing(n),
+            noncrossing.enumerate_trees(n),
+            lagrange.s_generator_on_g(n),
+        ]
+        for i in comps.all_compositions(n):
+            out += [
+                lagrange.g_monomial_on_s(i),
+                lagrange.s_monomial_on_g(i),
+                lagrange.m_monomial_on_c(i),
+                lagrange.c_monomial_on_m(i),
+                parking.ndpf_count_of_type(i),
+            ]
+    lat = incidence.lattice_oracle(4)
+    return out + [lat.mobius(lat.bottom, lat.top), cli._shared_parser().prog]
+
+
+def test_clear_caches_empties_every_memo_and_both_series():
+    before = _fill()
+    assert all(memo.cache_info().currsize for memo in cache.REGISTRY.values())
+    series = lagrange._g_series
+    cache.clear_caches()
+    assert [memo.cache_info().currsize for memo in cache.REGISTRY.values()] == [0] * len(MEMOS)
+    assert lagrange._g_series is series
+    assert lagrange._g_series.components == [lagrange._ONE]
+    assert lagrange._g_series._pw == {}
+    assert lagrange._gk_series == {}
+    # recomputed from nothing, every result is the same
+    assert _fill() == before
+    assert all(memo.cache_info().currsize for memo in cache.REGISTRY.values())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lagrange.s_generator_on_g(6),
+        lambda: lagrange.s_monomial_on_g((6, 1)),
+        lambda: lagrange.m_monomial_on_c((3, 3)),
+        lambda: lagrange.c_monomial_on_m((3, 3)),
+        lambda: lagrange.antipode_g(6),
+        lambda: hopf.delta_g_algebraic(6),
+        # the M <-> C edges read the guarded memos
+        lambda: algebra.convert(QSymElement.monomial("M", (3, 3)), "C"),
+        lambda: algebra.convert(QSymElement("C", {(2,): 1, (3, 3): 2}), "M"),
+    ],
+)
+def test_degree_bound_refuses_a_cache_hit(call, monkeypatch):
+    before = call()
+    assert call() == before  # the second call reads the memos
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", "4")
+    with pytest.raises(ValueError, match="degree 6 exceeds the table bound 4"):
+        call()
+    monkeypatch.delenv("NCLAG_MAX_DEGREE")
+    assert call() == before
+
+
+@pytest.mark.parametrize(
+    "memo, name, arg",
+    [
+        (lagrange.s_generator_on_g, "n", 5),
+        (lagrange.s_monomial_on_g, "index", (3, 1)),
+        (lagrange.m_monomial_on_c, "index", (2, 1)),
+        (lagrange.c_monomial_on_m, "index", (2, 1)),
+        (lagrange.antipode_g, "n", 5),
+        (hopf.delta_g_algebraic, "n", 5),
+    ],
+)
+def test_guarded_memo_takes_its_argument_by_keyword(memo, name, arg, monkeypatch):
+    assert memo(**{name: arg}) == memo(arg)
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", "2")
+    with pytest.raises(ValueError, match="exceeds the table bound 2"):
+        memo(**{name: arg})

@@ -118,6 +118,37 @@ def test_kreweras_rejects_an_empty_block(capsys):
         assert err.strip() == "error: blocks must be nonempty"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convert", "--from", "G", "--to", "S", "--index", ","], "argument --index: not a composition: ','"),
+        (["tree", "rebuild", "--left", ",", "--right", "1"], "argument --left: not a composition: ','"),
+        (["compatible", "--index", "1a"], "argument --index: not a composition: '1a'"),
+        (["kreweras", "--partition", "1,,2"], "error: not a partition: '1,,2'"),
+        (["kreweras", "--partition", "12|x"], "error: not a partition: '12|x'"),
+        (["profile", "--word", "1,,2"], "argument --word: not a word: '1,,2'"),
+        (["motzkin", "--word", "3,4,x"], "argument --word: not a word: '3,4,x'"),
+    ],
+)
+def test_comma_list_readers_name_the_malformed_input(capsys, argv, message):
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.strip().endswith(message)
+    assert "invalid" not in err
+
+
+def test_enumerate_builds_only_the_form_asked_for(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("text form built under --json")
+
+    monkeypatch.setattr(comps, "to_text", refuse)
+    monkeypatch.setattr(noncrossing, "to_text", refuse)
+    for what in ("compositions", "nc", "compatible"):
+        code, out, _ = run(capsys, "--json", "enumerate", "--what", what, "--n", "3")
+        assert code == 0
+        assert len(json.loads(out)["items"]) == {"compositions": 4, "nc": 5, "compatible": 5}[what]
+
+
 def test_enumerate_the_empty_tree(capsys):
     # the one tree with no nodes prints as its empty text form
     code, out, _ = run(capsys, "enumerate", "--what", "trees", "--n", "0")

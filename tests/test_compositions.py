@@ -86,3 +86,8 @@ def test_text_round_trip():
 def test_from_text_rejects_garbage():
     with pytest.raises(ValueError):
         comps.from_text("2,0")
+    # an empty or non-integer part is named, not left to int()
+    for text in (",", "1,,2", ",1", "1a", "1,-"):
+        with pytest.raises(ValueError) as err:
+            comps.from_text(text)
+        assert str(err.value) == f"not a composition: {text!r}"

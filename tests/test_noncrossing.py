@@ -388,6 +388,13 @@ def test_empty_block_is_rejected(text):
         nc.from_text(text)
 
 
+@pytest.mark.parametrize("text", ["1,,2", "12|,", "1|x", "1,2|3,,"])
+def test_malformed_block_is_named(text):
+    with pytest.raises(ValueError) as err:
+        nc.from_text(text)
+    assert str(err.value) == f"not a partition: {text!r}"
+
+
 def test_constructor_rejects_an_empty_block():
     with pytest.raises(ValueError, match="nonempty"):
         nc.NoncrossingPartition(3, [(1, 2), (), (3,)])

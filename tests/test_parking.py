@@ -203,6 +203,64 @@ def test_profile_encoding_round_trip():
             assert parking.c_inverse(parking.c_map(p, n)) == p
 
 
+def is_profile_by_three_checks(p):
+    s, c = p
+    if len(s) != len(c):
+        return False
+    if not all(x >= 1 for x in s) or not all(x >= 1 for x in c):
+        return False
+    return all(s[i + 1] > s[i] + c[i] for i in range(len(s) - 1))
+
+
+def c_map_by_shifting(p, n):
+    """The reference for `c_map`: read the first biletter, then shift every
+    start left past what it covered, rebuilding the lists each time."""
+    s, c = p
+    if not is_profile_by_three_checks(p):
+        raise ValueError("not a profile")
+    if s and n < s[-1] + c[-1]:
+        raise ValueError("n too small for this profile")
+    parts = []
+    s, c = list(s), list(c)
+    while s:
+        if s[0] == 1:
+            parts.append(1 + c[0])
+            shift = c[0] + 1
+            s, c = [x - shift for x in s[1:]], c[1:]
+        else:
+            parts.append(1)
+            s = [x - 1 for x in s]
+    parts.extend([1] * (n - sum(parts)))
+    return tuple(parts)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def test_one_pass_profile_encoding_equals_the_shifting_one():
+    # all 1,024 profiles of total length <= 7 with starts <= 9, each at
+    # n = 0..12: 13,312 pairs, of both outcomes
+    profiles = [p for total in range(8) for p in parking._profiles_of_length(total, 9)]
+    assert len(profiles) == 1024
+    results = set()
+    for p in profiles:
+        assert parking.is_profile(p)
+        for n in range(13):
+            got = outcome(parking.c_map, p, n)
+            assert got == outcome(c_map_by_shifting, p, n), (p, n)
+            results.add(type(got))
+    assert results == {tuple, str}
+    # and every pair of start and length tuples of up to 3 entries in 0..3
+    entries = [t for r in range(4) for t in itertools.product(range(4), repeat=r)]
+    for p in itertools.product(entries, repeat=2):
+        assert parking.is_profile(p) == is_profile_by_three_checks(p), p
+        assert outcome(parking.c_map, p, 9) == outcome(c_map_by_shifting, p, 9), p
+
+
 def test_compatible_pair_counts_are_catalan():
     for n in range(1, 8):
         assert len(parking.enumerate_compatible_pairs(n)) == catalan(n)

@@ -21,7 +21,13 @@ CACHED = (
     lagrange.s_generator_on_g,
     lagrange.m_monomial_on_c,
     lagrange.c_monomial_on_m,
+    lagrange.antipode_g,
+    hopf.delta_g_algebraic,
+    hopf.delta_g_biprofiles,
+    hopf.delta_g_noncrossing,
 )
+# the whole-degree results, memoized per n
+WHOLE_DEGREE = CACHED[-4:]
 
 
 def _fill_caches():
@@ -35,6 +41,9 @@ def _fill_caches():
             lagrange.m_monomial_on_c(i)
             lagrange.c_monomial_on_m(i)
     lagrange.gk_component(2, N)
+    for d in range(N + 1):
+        for f in WHOLE_DEGREE:
+            f(d)
 
 
 def _cached_elements():
@@ -48,6 +57,8 @@ def _cached_elements():
     for d in range(QSYM_N + 1):
         for i in comps.all_compositions(d):
             out += [lagrange.m_monomial_on_c(i), lagrange.c_monomial_on_m(i)]
+    for d in range(N + 1):
+        out += [f(d) for f in WHOLE_DEGREE]
     return out
 
 

@@ -7,9 +7,12 @@ coefficients are Python ints, so arbitrary precision comes for free.
 
 Conversions walk two basis trees, one edge at a time: S with children L,
 R and G, and F below G; M with children E, V and C.  The S<->G and M<->C
-edges are backed by the cached tables of the `lagrange` module; the other
-ten sum over refinements or coarsenings, as one transform over descent
-masks (`_lattice`).
+edges read only the two generator tables of the `lagrange` module, g_n on
+S and S_n on G: S<->G substitutes them part by part (`_substitution`),
+and M<->C, the transpose, spreads each term over its coarsenings with
+products of their coefficients (`_block_spread`).  The other ten sum
+over refinements or coarsenings, as one transform over descent masks
+(`_lattice`).
 
 A sum of many terms accumulates into a fresh dict (`_add_into`,
 `_mul_into`), never into a cached element's terms, and is wrapped in an
@@ -497,25 +500,58 @@ def _lattice(finer, mobius=False, source_sign=False, target_sign=False):
     return edge
 
 
-def _table(name):
-    """The edge reading X_I off the cached expansion lagrange.<name>(I)."""
+def _substitution(generator):
+    """The edge that replaces each part p of an index by the expansion
+    lagrange.<generator>(p) of its generator on the other basis and
+    multiplies out, by Horner's rule (`_products_into`): S^I is the product
+    of its S_(i_k) and G^J of its g_(j_k)."""
 
     def edge(terms):
-        table = getattr(_lagrange(), name)
-        acc = {}
-        for i, c in terms.items():
-            if c:
-                _add_into(acc, table(i).terms, c)
-        return acc
+        table = getattr(_lagrange(), generator)
+        return _products_into({}, terms, lambda p: table(p).terms)
 
     return edge
 
 
-def _s_to_g(terms):
-    """The S -> G edge: each S^I as the product of the cached G-expansions
-    of its generators, by Horner's rule on the first part."""
-    generator = _lagrange().s_generator_on_g
-    return _products_into({}, terms, lambda p: generator(p).terms)
+def _block_spread(generator):
+    """The edge that spreads each term at I over the J coarser than I, with
+    the coefficient prod_k [I_k] lagrange.<generator>(j_k): I_k is the
+    block of I inside the k-th part of J, and [I_k] x the coefficient of
+    the monomial I_k in x.
+
+    It is the transpose of the S <-> G edge that reads the same table, as
+    each generator is homogeneous: <M_I, G^J> = prod_k [S^(I_k)] g_(j_k)
+    and <C_J, S^I> = prod_k [G^(J_k)] S_(i_k).  The coarsenings of a
+    prefix of I are shared.  The weight of every term is checked against
+    the table bound, which g_component does not check."""
+
+    def edge(terms):
+        lagrange = _lagrange()
+        table = getattr(lagrange, generator)
+        lagrange._check_bound(max((sum(i) for i, c in terms.items() if c), default=0))
+        rows = {}
+        acc = {}
+        for i, c in terms.items():
+            if not c:
+                continue
+            # heads[r]: each coarsening of i[:r] -> c times its blocks' coefficients
+            heads = [{(): c}] + [{} for _ in i]
+            for r, head in enumerate(heads):
+                w = 0
+                for s in range(r + 1, len(i) + 1):
+                    w += i[s - 1]
+                    row = rows.get(w)
+                    if row is None:
+                        row = rows[w] = table(w).terms
+                    f = row.get(i[r:s])
+                    if f:
+                        into = heads[s]
+                        for j, a in head.items():
+                            into[j + (w,)] = a * f
+            _add_into(acc, heads[-1])
+        return acc
+
+    return edge
 
 
 # (from, to) -> edge
@@ -527,8 +563,8 @@ _EDGES = {
     ("R", "S"): _lattice(finer=False, mobius=True),
     # S^I = sum of R_J over J coarser than I
     ("S", "R"): _lattice(finer=False),
-    ("G", "S"): _table("g_monomial_on_s"),
-    ("S", "G"): _s_to_g,
+    ("G", "S"): _substitution("g_component"),
+    ("S", "G"): _substitution("s_generator_on_g"),
     ("F", "G"): _lattice(finer=True, mobius=True),
     ("G", "F"): _lattice(finer=True),
     ("E", "M"): _lattice(finer=False),
@@ -539,8 +575,8 @@ _EDGES = {
     # V_J; the two signs multiply to (-1)^(|I|-l(I)), so V <-> M is one
     # involution
     ("M", "V"): _lattice(finer=False, source_sign=True),
-    ("C", "M"): _table("c_monomial_on_m"),
-    ("M", "C"): _table("m_monomial_on_c"),
+    ("C", "M"): _block_spread("s_generator_on_g"),
+    ("M", "C"): _block_spread("g_component"),
 }
 
 

@@ -8,8 +8,9 @@ the environment, such as `NCLAG_MAX_DEGREE`, then refuses a hit as it
 refuses a miss.
 
 Memoized results are shared and immutable by convention, like every
-cached element of the package.  `clear_caches` empties every registered
-memo and the shared series of `lagrange`.
+cached element of the package; the one exception is the series of
+`lagrange._series`, which grows in place under that module's lock.
+`clear_caches` empties every registered memo.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ def cached(fn=None, *, guard=None):
 
 
 def clear_caches():
-    """Empty every registered memo, and reset the shared g series and
-    k-analogue series of `lagrange` in place, under its lock."""
-    from . import lagrange  # which imports this module
-
+    """Empty every registered memo."""
     for memo in REGISTRY.values():
         memo.cache_clear()
-    with lagrange._cache_lock:
-        del lagrange._g_series.components[1:]
-        lagrange._g_series._pw.clear()
-        lagrange._gk_series.clear()

@@ -182,7 +182,7 @@ def cmd_enumerate(args):
     elif args.what == "ndpf":
         words = parking.enumerate_k_ndpf(n, args.k)
         items = lambda: [list(w) for w in words]
-        lines = lambda: ("".join(map(str, w)) for w in words)
+        lines = lambda: map(comps.to_text, words)
     elif args.what == "nc":
         ps = noncrossing.enumerate_nc(n)
         items = lambda: [[list(b) for b in p.blocks] for p in ps]
@@ -320,7 +320,7 @@ def cmd_motzkin(args):
     if args.path is not None:
         w = noncrossing.path_to_word(args.path)
         payload = {"path": args.path, "word": list(w)}
-        text = "".join(map(str, w))
+        text = comps.to_text(w)
     else:
         w = args.word
         if noncrossing.is_s_word(w):
@@ -426,7 +426,7 @@ def cmd_incidence(args):
 
 def _suite_lagrange(max_n):
     for n in range(max_n + 1):
-        yield f"g expansion counts ndpf types, n={n}", lagrange.g_expansion_check(n), {"n": n}
+        yield f"g expansion counts ndpf types, n={n}", lagrange.k_parking_check(n, 1), {"n": n}
     for k in (2, 3):
         for n in range(min(max_n, 4) + 1):
             a = lagrange.gk_component(k, n)

@@ -162,12 +162,15 @@ def chain_count(n_plus_1, s) -> int:
 def biane_count(n, orders) -> int:
     """Minimal factorizations of a full cycle into cycles of the given
     orders: a power of n when the lengths are minimal, zero otherwise."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     orders = tuple(orders)
     if any(a < 2 for a in orders):
         raise ValueError("cycle orders must be at least 2")
     if sum(a - 1 for a in orders) != n - 1:
         return 0
-    return n ** (len(orders) - 1)
+    # no orders: the full cycle of 1 is the identity, the empty product
+    return n ** (len(orders) - 1) if orders else 1
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import threading
 from collections import Counter
 
 from . import algebra, compositions as comps, parking
-from .algebra import NSymElement, QSymElement
+from .algebra import NSymElement
 from .cache import cached
 
 
@@ -51,11 +51,6 @@ def _check_bound(n):
 def _check_parts_bound(index):
     """The bound on every part of a monomial, each part p an S_p on G."""
     _check_bound(max(index, default=0))
-
-
-def _check_weight_bound(index):
-    """The bound on the weight of a monomial."""
-    _check_bound(sum(index))
 
 
 _ONE, _ZERO = NSymElement.one("S"), NSymElement.zero("S")
@@ -191,19 +186,23 @@ def _s_generator(n):
 # The g series and its k-analogues (shared caches, exclusive extension)
 
 _cache_lock = threading.Lock()
-_g_series = GradedSeries([_ONE], _s_generator, lambda m: m)
-_gk_series = {}
+
+
+@cached
+def _series(k):
+    """The shared k-analogue series (k = 1 is g), only ever read and
+    extended under `_cache_lock`, so that two threads never extend two
+    different series."""
+    return GradedSeries([_ONE], _s_generator, lambda m: k * m)
 
 
 def _shared_component(k, n):
-    """Degree-n component of the shared k-analogue series (k = 1 is g),
-    extended under the lock when it is too short."""
+    """Degree-n component of the shared k-analogue series, extended under
+    the lock when it is too short."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     with _cache_lock:
-        series = _g_series if k == 1 else _gk_series.get(k)
-        if series is None:
-            series = _gk_series[k] = GradedSeries([_ONE], _s_generator, lambda m: k * m)
+        series = _series(k)
         series.extend(n)
         return series.components[n]
 
@@ -213,18 +212,10 @@ def g_component(n) -> NSymElement:
     return _shared_component(1, n)
 
 
-def g_expansion_check(n) -> bool:
-    """Recompute g_n as a tally over nondecreasing parking functions."""
-    tally = Counter(parking.type_of(w) for w in parking.enumerate_ndpf(n))
-    return NSymElement("S", tally) == g_component(n)
-
-
 def gk_component(k, n) -> NSymElement:
     """Degree-n component of the k-analogue series (k=1 recovers g)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return g_component(n)
     return _shared_component(k, n)
 
 
@@ -317,13 +308,6 @@ def gamma_check(N) -> bool:
 # S <-> G transitions
 
 
-@cached
-def g_monomial_on_s(index) -> NSymElement:
-    """Expansion of a G-basis monomial on the S basis."""
-    acc = algebra._products_into({}, {index: 1}, lambda p: g_component(p).terms)
-    return NSymElement("S", acc)
-
-
 @cached(guard=_check_bound)
 def s_generator_on_g(n) -> NSymElement:
     """Expansion of S_n on the G basis, by peeling the leading term of g_n:
@@ -357,38 +341,6 @@ def s_to_g_via_recipe(n) -> NSymElement:
     for i, c in gl.terms.items():
         algebra._add_into(acc, {(i[0] + 1,) + i[1:]: c, (1,) + i: -c}, (-1) ** n)
     return NSymElement("G", acc)
-
-
-# ---------------------------------------------------------------------------
-# M <-> C transitions (duality with the G basis)
-
-
-def _transposed_column(table, index, basis):
-    """The dual basis element of `index`: its coefficient at each j of the
-    same weight is the coefficient of `index` in table(j).
-
-    table(j) is a product of one expansion per part of j, so it lives on
-    the refinements of j, and only the coarsenings j of `index` are read:
-    2^(l-1) lookups for an index of length l, 3^(n-1) for all the columns
-    of weight n, one per pair (j, a refinement of j)."""
-    terms = {}
-    for j in comps.coarsenings(index):
-        c = table(j).terms.get(index)
-        if c:
-            terms[j] = c
-    return QSymElement(basis, terms)
-
-
-@cached(guard=_check_weight_bound)
-def m_monomial_on_c(index):
-    """M_I on the dual-of-G basis: coefficients read off the g-on-S table."""
-    return _transposed_column(g_monomial_on_s, index, "C")
-
-
-@cached(guard=_check_weight_bound)
-def c_monomial_on_m(index):
-    """A dual-of-G monomial on the M basis, via the S-on-G table."""
-    return _transposed_column(s_monomial_on_g, index, "M")
 
 
 # ---------------------------------------------------------------------------

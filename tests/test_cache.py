@@ -1,5 +1,5 @@
 """The cache registry: every memo of the package is a `cached` function,
-`clear_caches` empties them all and the shared series, and a degree bound
+`clear_caches` empties them all, the shared series included, and a degree bound
 refuses a cache hit as it refuses a miss."""
 
 import re
@@ -8,16 +8,14 @@ from pathlib import Path
 import pytest
 
 from nclag import algebra, cache, cli, compositions as comps, hopf, incidence, lagrange, noncrossing, parking
-from nclag.algebra import QSymElement
+from nclag.algebra import NSymElement, QSymElement
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nclag"
 
 MEMOS = {
-    "nclag.lagrange.g_monomial_on_s": lagrange.g_monomial_on_s,
+    "nclag.lagrange._series": lagrange._series,
     "nclag.lagrange.s_generator_on_g": lagrange.s_generator_on_g,
     "nclag.lagrange.s_monomial_on_g": lagrange.s_monomial_on_g,
-    "nclag.lagrange.m_monomial_on_c": lagrange.m_monomial_on_c,
-    "nclag.lagrange.c_monomial_on_m": lagrange.c_monomial_on_m,
     "nclag.lagrange.antipode_g": lagrange.antipode_g,
     "nclag.hopf.delta_g_algebraic": hopf.delta_g_algebraic,
     "nclag.hopf.delta_g_biprofiles": hopf.delta_g_biprofiles,
@@ -61,13 +59,7 @@ def _fill():
             lagrange.s_generator_on_g(n),
         ]
         for i in comps.all_compositions(n):
-            out += [
-                lagrange.g_monomial_on_s(i),
-                lagrange.s_monomial_on_g(i),
-                lagrange.m_monomial_on_c(i),
-                lagrange.c_monomial_on_m(i),
-                parking.ndpf_count_of_type(i),
-            ]
+            out += [lagrange.s_monomial_on_g(i), parking.ndpf_count_of_type(i)]
     lat = incidence.lattice_oracle(4)
     return out + [lat.mobius(lat.bottom, lat.top), cli._shared_parser().prog]
 
@@ -75,13 +67,15 @@ def _fill():
 def test_clear_caches_empties_every_memo_and_both_series():
     before = _fill()
     assert all(memo.cache_info().currsize for memo in cache.REGISTRY.values())
-    series = lagrange._g_series
+    series = {k: lagrange._series(k) for k in (1, 2)}
     cache.clear_caches()
     assert [memo.cache_info().currsize for memo in cache.REGISTRY.values()] == [0] * len(MEMOS)
-    assert lagrange._g_series is series
-    assert lagrange._g_series.components == [lagrange._ONE]
-    assert lagrange._g_series._pw == {}
-    assert lagrange._gk_series == {}
+    # the next reader of g or of its k = 2 analogue starts a fresh series
+    for k, old in series.items():
+        fresh = lagrange._series(k)
+        assert fresh is not old
+        assert fresh.components == [lagrange._ONE]
+        assert fresh._pw == {}
     # recomputed from nothing, every result is the same
     assert _fill() == before
     assert all(memo.cache_info().currsize for memo in cache.REGISTRY.values())
@@ -92,11 +86,12 @@ def test_clear_caches_empties_every_memo_and_both_series():
     [
         lambda: lagrange.s_generator_on_g(6),
         lambda: lagrange.s_monomial_on_g((6, 1)),
-        lambda: lagrange.m_monomial_on_c((3, 3)),
-        lambda: lagrange.c_monomial_on_m((3, 3)),
+        # the S -> G edge reads the guarded generator table part by part
+        lambda: algebra.convert(NSymElement.monomial("S", (6, 1)), "G"),
+        lambda: algebra.convert(QSymElement.monomial("C", (3, 3)), "M"),
         lambda: lagrange.antipode_g(6),
         lambda: hopf.delta_g_algebraic(6),
-        # the M <-> C edges read the guarded memos
+        # the M <-> C edges check the weight of every term
         lambda: algebra.convert(QSymElement.monomial("M", (3, 3)), "C"),
         lambda: algebra.convert(QSymElement("C", {(2,): 1, (3, 3): 2}), "M"),
     ],
@@ -116,8 +111,6 @@ def test_degree_bound_refuses_a_cache_hit(call, monkeypatch):
     [
         (lagrange.s_generator_on_g, "n", 5),
         (lagrange.s_monomial_on_g, "index", (3, 1)),
-        (lagrange.m_monomial_on_c, "index", (2, 1)),
-        (lagrange.c_monomial_on_m, "index", (2, 1)),
         (lagrange.antipode_g, "n", 5),
         (hopf.delta_g_algebraic, "n", 5),
     ],

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nclag import algebra, cli, compositions as comps, hopf, lagrange, noncrossing
+from nclag import algebra, cli, compositions as comps, hopf, lagrange, noncrossing, parking
 
 
 def run(capsys, *argv):
@@ -39,8 +40,9 @@ def test_expand_k_analogue(capsys):
 
 
 def test_expand_k_analogue_at_large_k(capsys, monkeypatch):
-    # the solver's recursion descends in degree only, whatever k is
-    monkeypatch.setattr(lagrange, "_gk_series", {})
+    # the solver's recursion descends in degree only, whatever k is; a fresh
+    # memo of the shared series solves k = 400 from nothing
+    monkeypatch.setattr(lagrange, "_series", functools.lru_cache(lagrange._series.__wrapped__))
     code, out, _ = run(
         capsys, "expand", "--series", "gk", "--k", "400", "--degree", "10"
     )
@@ -247,6 +249,25 @@ def test_motzkin(capsys):
     assert out.strip() == "11223"
 
 
+def test_motzkin_word_with_a_two_digit_letter_reads_back(capsys):
+    code, out, _ = run(capsys, "motzkin", "--path", "H" * 10)
+    assert code == 0
+    assert out.strip() == "1,2,3,4,5,6,7,8,9,10"
+    code, back, _ = run(capsys, "motzkin", "--word", out.strip())
+    assert code == 0
+    assert back.strip() == "H" * 10
+
+
+def test_ndpf_words_with_two_digit_letters_read_back(capsys):
+    code, out, _ = run(capsys, "enumerate", "--what", "ndpf", "--n", "6", "--k", "2")
+    assert code == 0
+    lines = out.split()
+    assert "135799" in lines
+    assert "1,3,5,7,9,11" in lines
+    words = [comps.parse_parts(line) for line in lines]
+    assert words == parking.enumerate_k_ndpf(6, 2)
+
+
 def test_factorize(capsys):
     code, out, _ = run(
         capsys, "factorize", "--index", "5", "--left", "1,2", "--right", "1,1"
@@ -304,6 +325,17 @@ def test_incidence_counts(capsys):
     )
     assert code == 0
     assert out.strip() == "16"
+
+
+def test_incidence_biane_without_orders_is_the_int_one(capsys):
+    code, out, _ = run(capsys, "incidence", "biane", "--n", "1", "--orders", "")
+    assert code == 0
+    assert out.strip() == "1"
+    code, out, _ = run(capsys, "--json", "incidence", "biane", "--n", "1", "--orders", "")
+    assert code == 0
+    data = json.loads(out)
+    assert data == {"count": 1, "n": 1, "orders": []}
+    assert type(data["count"]) is int
 
 
 def test_verify_suite_passes(capsys):
@@ -758,6 +790,8 @@ BAD_INPUTS = [
     ["incidence", "multichains", "--n", "3", "--k", "0"],
     ["incidence", "chains", "--n", "3", "--jumps", "5"],
     ["incidence", "mobius-number", "--n", "9"],
+    ["incidence", "biane", "--n", "-3", "--orders", "2"],
+    ["incidence", "biane", "--n", "0", "--orders", ""],
     ["verify", "--suite", "nope"],
     ["verify", "--suite", "all", "--max-n", "-1"],
     ["convert", "--from", "L", "--to", "G", "--index", "9,9"],

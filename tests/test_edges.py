@@ -1,8 +1,8 @@
 """Each of the 14 edges of the basis trees against a per-term reference:
 the ten refinement/coarsening edges against spreading every term over its
-refinements or coarsenings with an explicit sign, the S -> G edge against
-multiplying out every S^I on its own, and the three table edges against
-reading every term's cached expansion."""
+refinements or coarsenings with an explicit sign, the S <-> G edges against
+multiplying out every monomial on its own, and the M <-> C edges against
+the transposed columns of those two references."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,32 +48,42 @@ def product_form(factor):
     return edge
 
 
-def table_form(name):
+def transposed(forward):
+    """The dual basis change of `forward`: each term at I spreads over the
+    J coarser than I, with the coefficient of I in forward(J).  forward(J)
+    is a product of one expansion per part of J, so it lives on the
+    refinements of J."""
+
     def edge(terms):
-        table = getattr(lagrange, name)
         acc = {}
         for i, c in terms.items():
-            algebra._add_into(acc, table(i).terms, c)
+            for j in comps.coarsenings(i):
+                acc[j] = acc.get(j, 0) + c * forward({j: 1}).get(i, 0)
         return acc
 
     return edge
 
+
+G_TO_S = product_form(lambda p: lagrange.g_component(p).terms)
+S_TO_G = product_form(lambda p: lagrange.s_generator_on_g(p).terms)
 
 REFERENCE = {
     ("L", "S"): spread(comps.refinements, weight_sign),
     ("S", "L"): spread(comps.refinements, weight_sign),
     ("R", "S"): spread(comps.coarsenings, length_sign),
     ("S", "R"): spread(comps.coarsenings),
-    ("G", "S"): table_form("g_monomial_on_s"),
-    ("S", "G"): product_form(lambda p: lagrange.s_generator_on_g(p).terms),
+    ("G", "S"): G_TO_S,
+    ("S", "G"): S_TO_G,
     ("F", "G"): spread(comps.refinements, length_sign),
     ("G", "F"): spread(comps.refinements),
     ("E", "M"): spread(comps.coarsenings),
     ("V", "M"): spread(comps.coarsenings, lambda i, j: (-1) ** (sum(i) - len(i))),
     ("M", "E"): spread(comps.coarsenings, length_sign),
     ("M", "V"): spread(comps.coarsenings, lambda i, j: length_sign(i, j) * weight_sign(i, j)),
-    ("C", "M"): table_form("c_monomial_on_m"),
-    ("M", "C"): table_form("m_monomial_on_c"),
+    # <M_I, G^J> is the coefficient of S^I in G^J, and <C_J, S^I> that of
+    # G^J in S^I
+    ("C", "M"): transposed(S_TO_G),
+    ("M", "C"): transposed(G_TO_S),
 }
 
 

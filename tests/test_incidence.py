@@ -159,6 +159,19 @@ def test_cycle_factorization_counts():
     assert inc.biane_count(5, (2, 2, 2)) == 0
 
 
+def test_cycle_factorization_count_of_no_cycles_is_the_int_one():
+    count = inc.biane_count(1, ())
+    assert count == 1
+    assert type(count) is int
+    assert inc.biane_count(2, ()) == 0
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cycle_factorization_count_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        inc.biane_count(n, (2,))
+
+
 def test_cycle_factorization_counts_match_brute_force():
     cases = [
         (3, (2, 2)),

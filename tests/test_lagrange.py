@@ -22,7 +22,7 @@ def g_table(N):
     """The cached components g_0..g_N of g as a given series."""
     lagrange.g_component(N)
     with lagrange._cache_lock:
-        return lagrange.GradedSeries(lagrange._g_series.components[: N + 1])
+        return lagrange.GradedSeries(lagrange._series(1).components[: N + 1])
 
 
 def test_cubic_component_on_s():
@@ -32,7 +32,7 @@ def test_cubic_component_on_s():
 
 def test_component_coefficients_count_parking_types():
     for n in range(8):
-        assert lagrange.g_expansion_check(n)
+        assert lagrange.k_parking_check(n, 1)
 
 
 def test_degree_zero_is_one():

@@ -3,7 +3,10 @@ accumulates into a fresh dict, never into the terms of an operand or of a
 cached element.  These tests snapshot the caches, run every reader, and
 check that nothing cached changed."""
 
-from nclag import algebra, compositions as comps, hopf, lagrange
+import sys
+import threading
+
+from nclag import algebra, cache, compositions as comps, hopf, lagrange
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
 from test_lagrange import (
@@ -16,11 +19,8 @@ from test_lagrange import (
 N = 6
 QSYM_N = 4
 CACHED = (
-    lagrange.g_monomial_on_s,
     lagrange.s_monomial_on_g,
     lagrange.s_generator_on_g,
-    lagrange.m_monomial_on_c,
-    lagrange.c_monomial_on_m,
     lagrange.antipode_g,
     hopf.delta_g_algebraic,
     hopf.delta_g_biprofiles,
@@ -34,12 +34,7 @@ def _fill_caches():
     for d in range(N + 1):
         lagrange.s_generator_on_g(d)
         for i in comps.all_compositions(d):
-            lagrange.g_monomial_on_s(i)
             lagrange.s_monomial_on_g(i)
-    for d in range(QSYM_N + 1):
-        for i in comps.all_compositions(d):
-            lagrange.m_monomial_on_c(i)
-            lagrange.c_monomial_on_m(i)
     lagrange.gk_component(2, N)
     for d in range(N + 1):
         for f in WHOLE_DEGREE:
@@ -48,15 +43,11 @@ def _fill_caches():
 
 def _cached_elements():
     out = [lagrange.g_component(d) for d in range(9)]
-    for series in (lagrange._g_series, lagrange._gk_series[2]):
+    for series in (lagrange._series(1), lagrange._series(2)):
         out += series.components + list(series._pw.values())
     for d in range(N + 1):
         out.append(lagrange.s_generator_on_g(d))
-        for i in comps.all_compositions(d):
-            out += [lagrange.g_monomial_on_s(i), lagrange.s_monomial_on_g(i)]
-    for d in range(QSYM_N + 1):
-        for i in comps.all_compositions(d):
-            out += [lagrange.m_monomial_on_c(i), lagrange.c_monomial_on_m(i)]
+        out += [lagrange.s_monomial_on_g(i) for i in comps.all_compositions(d)]
     for d in range(N + 1):
         out += [f(d) for f in WHOLE_DEGREE]
     return out
@@ -88,7 +79,7 @@ def _run_readers():
     for n in range(1, N + 1):
         assert lagrange.s_to_g_via_recipe(n) == lagrange.s_generator_on_g(n)
         assert lagrange.g_neg(n) == lagrange.g_neg_via_doubling(n)
-        assert lagrange.g_expansion_check(n)
+        assert lagrange.k_parking_check(n, 1)
     assert transition_matrix("F", "S", 4) == f_basis_table_via_breakpoints(4)
     assert hopf.delta_g_monomial((2, 1)) == hopf.delta_g_algebraic(2) * hopf.delta_g_algebraic(1)
 
@@ -123,3 +114,34 @@ def test_sums_and_products_never_share_an_operands_terms():
         assert (a.terms, b.terms) == before
     q = QSymElement.monomial("C", (2, 1))
     assert (q + QSymElement.zero("C")).terms is not q.terms
+
+
+def test_threads_share_one_series_per_k():
+    """Threads that solve the same fresh series at once get the very same
+    components: one series per k, extended by one thread at a time."""
+    cache.clear_caches()
+    top = 7
+    results = []
+    ks = (1, 2, 3) * 4
+    start = threading.Barrier(len(ks), timeout=60)
+
+    def solve(k):
+        start.wait()
+        results.append((k, [lagrange.gk_component(k, d) for d in range(top + 1)]))
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in ks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    for k, components in results:
+        shared = lagrange._series(k).components
+        assert len(shared) == top + 1
+        assert all(x is y for x, y in zip(components, shared))

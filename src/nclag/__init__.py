@@ -7,7 +7,6 @@ from .algebra import (
     QSymElement,
     TensorElement,
     convert,
-    qsym_convert,
     pair,
     coproduct,
     antipode,
@@ -19,7 +18,6 @@ __all__ = [
     "QSymElement",
     "TensorElement",
     "convert",
-    "qsym_convert",
     "pair",
     "coproduct",
     "antipode",

@@ -12,7 +12,8 @@ S and S_n on G: S<->G substitutes them part by part (`_substitution`),
 and M<->C, the transpose, spreads each term over its coarsenings with
 products of their coefficients (`_block_spread`).  The other ten sum
 over refinements or coarsenings, as one transform over descent masks
-(`_lattice`).
+(`_lattice`).  A tensor converts leg by leg, each leg's walk run once per
+group of terms that agree off that leg.
 
 A sum of many terms accumulates into a fresh dict (`_add_into`,
 `_mul_into`), never into a cached element's terms, and is wrapped in an
@@ -343,6 +344,19 @@ class TensorElement(_Element):
             {tuple(map(i.__getitem__, order)): c for i, c in self.terms.items()},
         )
 
+    def _on_leg(self, m, bases, fn):
+        """The tensor whose leg m becomes the legs `bases`: the terms that
+        agree off leg m are grouped, and fn maps the leg-m terms of one
+        group to a fresh dict keyed by tuples of len(bases) new legs."""
+        groups = {}
+        for index, c in self.terms.items():
+            groups.setdefault((index[:m], index[m + 1 :]), {})[index[m]] = c
+        acc = {}
+        for (head, tail), leg in groups.items():
+            for legs, c in fn(leg).items():
+                acc[(*head, *legs, *tail)] = c
+        return TensorElement._adopt((*self.basis[:m], *bases, *self.basis[m + 1 :]), acc)
+
     def split_leg(self, m):
         """Delta on leg m, an S leg, so k legs become k + 1: S^I there becomes
         the product over its parts p of Delta S_p = sum of S_a (x) S_(p-a).
@@ -352,36 +366,11 @@ class TensorElement(_Element):
         merge before the next part multiplies them."""
         if not 0 <= m < len(self.basis) or self.basis[m] != "S":
             raise BasisMismatch(f"Delta splits an S leg, and leg {m} of {self.basis!r} is none")
-        groups = {}
-        for index, c in self.terms.items():
-            groups.setdefault((index[:m], index[m + 1 :]), {})[index[m]] = c
-        acc = {}
-        for (head, tail), leg in groups.items():
-            pairs = _products_into({}, leg, _split_generator, _legwise_mul_into, ((), ()))
-            for (l, r), c in pairs.items():
-                acc[(*head, l, r, *tail)] = c
-        return TensorElement._adopt((*self.basis[:m], "S", "S", *self.basis[m + 1 :]), acc)
-
-    def map_legs(self, *fns):
-        """Multilinear extension of one map per leg, each sending a
-        composition to an NSymElement.  The legs are mapped one at a time,
-        so the terms that meet on a mapped leg merge before the next leg
-        expands."""
-        if len(fns) != len(self.basis):
-            raise ValueError(f"{len(fns)} maps for {len(self.basis)} legs")
-        bases, terms = list(self.basis), self.terms
-        for m, fn in enumerate(fns):
-            acc = {}
-            get = acc.get
-            for index, c in terms.items():
-                x = fn(index[m])
-                bases[m] = x.basis
-                head, tail = index[:m], index[m + 1 :]
-                for i, b in x.terms.items():
-                    k = (*head, i, *tail)
-                    acc[k] = get(k, 0) + c * b
-            terms = acc
-        return TensorElement._adopt(bases, terms)
+        return self._on_leg(
+            m,
+            ("S", "S"),
+            lambda leg: _products_into({}, leg, _split_generator, _legwise_mul_into, ((), ())),
+        )
 
     @staticmethod
     def _weight(index):
@@ -608,24 +597,45 @@ _ROUTES = {
 }
 
 
+def _route_of(source, target):
+    """The edges of the walk from one basis to another of its side."""
+    route = _ROUTES.get((source, target))
+    if route is None:
+        raise BasisMismatch(f"no conversion from {source!r} to {target!r}")
+    return route
+
+
+def _walk(route, terms):
+    """The terms after each edge of `route` in turn."""
+    for edge in route:
+        terms = edge(terms)
+    return terms
+
+
 def convert(x, target):
     """Re-express an NSym or QSym element in another basis of its side
     (exact, round-trippable): up the basis tree from x.basis to the lowest
     common ancestor, then down to `target`, each edge one pass from the
-    terms to a fresh dict."""
-    route = _ROUTES.get((x.basis, target))
-    if route is None:
-        raise BasisMismatch(f"no conversion from {x.basis!r} to {target!r}")
+    terms to a fresh dict.
+
+    A tensor's target is a tuple of leg bases, one per leg.  Each leg that
+    changes basis is walked once per group of terms that agree off it, so
+    the terms that meet on one leg merge before the next leg expands."""
+    if isinstance(x, TensorElement):
+        if not isinstance(target, tuple) or len(target) != len(x.basis):
+            raise BasisMismatch(f"no conversion from {x.basis!r} to {target!r}")
+        routes = list(map(_route_of, x.basis, target))
+        for m, route in enumerate(routes):
+            if route:
+                # each new index is a one-leg tuple, the form _on_leg splices
+                x = x._on_leg(
+                    m, (target[m],), lambda leg: {(j,): c for j, c in _walk(route, leg).items()}
+                )
+        return x
+    route = _route_of(x.basis, target)
     if not route:
         return x
-    terms = x.terms
-    for edge in route:
-        terms = edge(terms)
-    return type(x)._adopt(target, terms)
-
-
-# the QSym name of the same walk
-qsym_convert = convert
+    return type(x)._adopt(target, _walk(route, x.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -46,15 +46,9 @@ def _word_arg(text):
 
 
 def _emit(args, payload, text):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def _emit_lazy(args, payload, text):
-    """Like `_emit`, from zero-argument builders: only the output asked for
-    is built (for an element, each of the two sorts its terms)."""
+    """Print the JSON payload or the text, each from a zero-argument
+    builder: only the output asked for is built (for an element, each of
+    the two sorts its terms)."""
     if args.json:
         print(json.dumps(payload(), sort_keys=True))
     else:
@@ -96,14 +90,14 @@ def cmd_expand(args):
     else:
         raise AssertionError(args.series)
     x = algebra.convert(x, args.basis)
-    _emit_lazy(args, x.to_json_dict, x.__repr__)
+    _emit(args, x.to_json_dict, x.__repr__)
     return 0
 
 
 def cmd_convert(args):
     x = algebra.NSymElement.monomial(args.basis_from, args.index)
     y = algebra.convert(x, args.basis_to)
-    _emit_lazy(args, y.to_json_dict, y.__repr__)
+    _emit(args, y.to_json_dict, y.__repr__)
     return 0
 
 
@@ -113,7 +107,7 @@ def cmd_coproduct(args):
         lagrange._check_bound(len(args.word))
         cp = hopf.coproduct_P(args.word)
         items = sorted(cp.items())
-        _emit_lazy(
+        _emit(
             args,
             lambda: [
                 {"left": list(u), "right": list(v), "coeff": c}
@@ -137,7 +131,7 @@ def cmd_coproduct(args):
             "noncrossing": hopf.delta_g_noncrossing,
         }
         t = routes[args.route](args.degree)
-    _emit_lazy(args, t.to_json_dict, t.__repr__)
+    _emit(args, t.to_json_dict, t.__repr__)
     return 0
 
 
@@ -147,7 +141,7 @@ def cmd_antipode(args):
         y = algebra.convert(algebra.antipode(x), args.basis)
     else:
         y = lagrange.antipode_g(args.degree)
-    _emit_lazy(args, y.to_json_dict, y.__repr__)
+    _emit(args, y.to_json_dict, y.__repr__)
     return 0
 
 
@@ -197,7 +191,7 @@ def cmd_enumerate(args):
         lines = lambda: (f"{comps.to_text(i)} | {comps.to_text(j)}" for i, j in pairs)
     else:
         raise AssertionError(args.what)
-    _emit_lazy(
+    _emit(
         args,
         lambda: {"what": args.what, "n": n, "items": items()},
         lambda: "\n".join(lines()),
@@ -213,18 +207,17 @@ def cmd_profile(args):
         image = parking.c_map((s, c), args.encode)
         payload["composition"] = list(image)
         text += f" -> {comps.to_text(image)}"
-    _emit(args, payload, text)
+    _emit(args, lambda: payload, lambda: text)
     return 0
 
 
 def cmd_compatible(args):
     js = parking.compatible_with(args.index)
-    payload = {
-        "index": list(args.index),
-        "compatible": [list(j) for j in js],
-        "count": len(js),
-    }
-    _emit(args, payload, "\n".join(comps.to_text(j) for j in js))
+    _emit(
+        args,
+        lambda: {"index": list(args.index), "compatible": [list(j) for j in js], "count": len(js)},
+        lambda: "\n".join(map(comps.to_text, js)),
+    )
     return 0
 
 
@@ -236,7 +229,7 @@ def cmd_biprofiles(args):
         (left, right, *parking.biprofile_to_compositions(left, right))
         for left, right in bps
     ]
-    _emit_lazy(
+    _emit(
         args,
         lambda: {
             "n": args.n,
@@ -261,11 +254,11 @@ def cmd_biprofiles(args):
 def cmd_kreweras(args):
     p = noncrossing.from_text(args.partition)
     k = noncrossing.kreweras(p)
-    payload = {
-        "input": [list(b) for b in p.blocks],
-        "complement": [list(b) for b in k.blocks],
-    }
-    _emit(args, payload, noncrossing.to_text(k))
+    _emit(
+        args,
+        lambda: {"input": [list(b) for b in p.blocks], "complement": [list(b) for b in k.blocks]},
+        lambda: noncrossing.to_text(k),
+    )
     return 0
 
 
@@ -286,8 +279,8 @@ def cmd_tree(args):
         except noncrossing.RebuildFailure as e:
             _emit(
                 args,
-                {"ok": False, "step": e.step, "message": str(e)},
-                f"rebuild failed at step {e.step}: {e}",
+                lambda: {"ok": False, "step": e.step, "message": str(e)},
+                lambda: f"rebuild failed at step {e.step}: {e}",
             )
             return 1
         i, j = noncrossing.tau(t)
@@ -301,7 +294,7 @@ def cmd_tree(args):
         if args.trace:
             payload["trace"] = [[label, repr(tree)] for label, tree in trace]
             lines.extend(str(step) for step in trace)
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, lambda: payload, lambda: "\n".join(lines))
         return 0
     if args.action == "tau":
         t = noncrossing.rebuild_tree(args.left, args.right)
@@ -311,7 +304,7 @@ def cmd_tree(args):
             "right_partition": [list(b) for b in pr.blocks],
         }
         text = f"{noncrossing.to_text(pl)}  ||  {noncrossing.to_text(pr)}"
-        _emit(args, payload, text)
+        _emit(args, lambda: payload, lambda: text)
         return 0
     raise AssertionError(args.action)
 
@@ -328,7 +321,7 @@ def cmd_motzkin(args):
         path = noncrossing.word_to_path(w)
         payload = {"word": list(args.word), "path": path}
         text = path
-    _emit(args, payload, text)
+    _emit(args, lambda: payload, lambda: text)
     return 0
 
 
@@ -349,7 +342,7 @@ def cmd_factorize(args):
         text = f"{count}\n{text}" if text else str(count)
     else:
         text = str(count)
-    _emit(args, payload, text)
+    _emit(args, lambda: payload, lambda: text)
     return 0
 
 
@@ -416,7 +409,7 @@ def cmd_incidence(args):
         text = str(c)
     else:
         raise AssertionError(args.action)
-    _emit(args, payload, text)
+    _emit(args, lambda: payload, lambda: text)
     return 0
 
 

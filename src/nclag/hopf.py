@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from . import lagrange, noncrossing, parking
+from . import algebra, lagrange, noncrossing, parking
 from .algebra import TensorElement, coproduct as s_coproduct
 from .cache import cached
 
@@ -19,8 +19,7 @@ from .cache import cached
 def delta_g_algebraic(n) -> TensorElement:
     """Coproduct of g_n: expand on S, split the generators, convert each
     tensor leg back to the G basis."""
-    t = s_coproduct(lagrange.g_component(n))
-    return t.map_legs(lagrange.s_monomial_on_g, lagrange.s_monomial_on_g)
+    return algebra.convert(s_coproduct(lagrange.g_component(n)), ("G", "G"))
 
 
 @cached

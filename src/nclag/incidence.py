@@ -137,6 +137,8 @@ def zeta_power_value(k, n) -> int:
 def multichain_count(n, k) -> int:
     """Weakly increasing k-tuples in the lattice one size larger; one more
     convolution factor than free elements."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if k < 1:
         raise ValueError("k must be >= 1")
     v = g_values(zeta_power(k + 1, n))[n]

@@ -48,11 +48,6 @@ def _check_bound(n):
         )
 
 
-def _check_parts_bound(index):
-    """The bound on every part of a monomial, each part p an S_p on G."""
-    _check_bound(max(index, default=0))
-
-
 _ONE, _ZERO = NSymElement.one("S"), NSymElement.zero("S")
 
 
@@ -317,12 +312,6 @@ def s_generator_on_g(n) -> NSymElement:
         return NSymElement.one("G")
     rest = {j: -c for j, c in g_component(n).terms.items() if j != (n,)}
     acc = algebra._products_into({(n,): 1}, rest, lambda p: s_generator_on_g(p).terms)
-    return NSymElement("G", acc)
-
-
-@cached(guard=_check_parts_bound)
-def s_monomial_on_g(index) -> NSymElement:
-    acc = algebra._products_into({}, {index: 1}, lambda p: s_generator_on_g(p).terms)
     return NSymElement("G", acc)
 
 

@@ -236,7 +236,7 @@ def c_map(p, n):
     s, c = p
     if not is_profile(p):
         raise ValueError("not a profile")
-    if s and n < s[-1] + c[-1]:
+    if n < (s[-1] + c[-1] if s else 0):
         raise ValueError("n too small for this profile")
     parts = []
     end = 0  # the positions written so far

@@ -1,3 +1,6 @@
+from itertools import product
+from math import prod
+
 import pytest
 
 from nclag import algebra, compositions as comps, lagrange
@@ -15,7 +18,6 @@ from nclag.algebra import (
     pair,
     phi_k,
     psi_k,
-    qsym_convert,
     tilde,
 )
 
@@ -80,7 +82,7 @@ def test_qsym_round_trips():
         for basis in ("E", "V", "C"):
             for i in comps.all_compositions(n):
                 x = QSymElement.monomial(basis, i)
-                assert qsym_convert(qsym_convert(x, "M"), basis) == x
+                assert convert(convert(x, "M"), basis) == x
 
 
 def test_pairing_is_dual_on_defining_bases():
@@ -98,7 +100,7 @@ def test_pairing_is_dual_on_defining_bases():
 
 
 def test_essential_basis_is_coarsening_sum():
-    e = qsym_convert(QSymElement.monomial("E", (1, 2)), "M")
+    e = convert(QSymElement.monomial("E", (1, 2)), "M")
     assert e.coeff((1, 2)) == 1
     assert e.coeff((3,)) == 1
     assert len(e.terms) == 2
@@ -251,6 +253,68 @@ def test_split_leg_equals_the_per_term_expansion():
     assert coproduct(g[6]) == split_leg_per_term(g6, 0)
 
 
+def convert_per_term(t, target):
+    """The reference for tensor `convert`: every term converts each of its
+    legs on its own, as a one-term element, multiplies the legs' results
+    out, and the terms merge after."""
+    acc = {}
+    for index, c in t.terms.items():
+        legs = [
+            convert(NSymElement.monomial(a, i), b).terms.items()
+            for a, i, b in zip(t.basis, index, target)
+        ]
+        for choice in product(*legs):
+            k = tuple(j for j, _ in choice)
+            acc[k] = acc.get(k, 0) + c * prod(v for _, v in choice)
+    return TensorElement(target, acc)
+
+
+def test_tensor_convert_equals_the_per_term_conversion():
+    g = [lagrange.g_component(d) for d in range(6)]
+    bases = algebra.NSYM_BASES
+    one_leg = TensorElement(("S",), {(i,): c for i, c in g[5].terms.items()})
+    two_legs = [
+        coproduct(g[4]),
+        coproduct(g[3] - g[2] * g[1].scale(3)),
+        # S^(1,1) - S^(2) is R_(1,1): the R_(2) terms cancel
+        TensorElement(("S", "G"), {((1, 1), (2,)): 1, ((2,), (2,)): -1, ((3,), ()): 4}),
+    ]
+    three_legs = [
+        coproduct(g[3]).split_leg(1),
+        TensorElement(
+            ("G", "R", "F"),
+            {
+                ((1,), (2, 1), ()): 2,
+                ((1,), (1, 2), ()): -2,
+                ((), (3,), (1,)): 5,
+                ((1,), (1, 1, 1), (2,)): -1,
+                ((2, 1), (1,), (1, 1)): 3,
+            },
+        ),
+    ]
+    cases = [(one_leg, [(b,) for b in bases])]
+    cases += [(t, list(product(bases, repeat=2))) for t in two_legs]
+    mixed = [("G", "G", "G"), ("L", "F", "R"), ("R", "S", "G"), ("F", "L", "S")]
+    cases += [(t, mixed) for t in three_legs]
+    for t, targets in cases:
+        for target in targets:
+            y = convert(t, target)
+            assert y.basis == target
+            assert y == convert_per_term(t, target), (t.basis, target)
+            assert convert(y, t.basis) == t, (t.basis, target)
+    cancelled = convert(two_legs[2], ("R", "G"))
+    assert cancelled.coeff((2,), (2,)) == 0
+    assert cancelled.coeff((1, 1), (2,)) == 1
+
+
+def test_tensor_convert_takes_one_nsym_basis_per_leg():
+    t = coproduct(lagrange.g_component(3))
+    # "GG" has one letter per leg, but a tensor's target is a tuple
+    for target in ("G", "GG", ("G",), ("G", "G", "G"), ("M", "S"), ("S", "C")):
+        with pytest.raises(BasisMismatch):
+            convert(t, target)
+
+
 def test_three_leg_term_order_does_not_depend_on_insertion_order():
     # the first three terms tie on every leg's descent word
     terms = {
@@ -278,4 +342,4 @@ def test_three_leg_tensor_format():
         ],
     }
     assert t.coeff((1,), (), (2, 1)) == -2
-    assert t.map_legs(s_mono, s_mono, s_mono) == TensorElement(("S", "S", "S"), t.terms)
+    assert convert(t, t.basis) == t

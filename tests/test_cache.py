@@ -8,14 +8,13 @@ from pathlib import Path
 import pytest
 
 from nclag import algebra, cache, cli, compositions as comps, hopf, incidence, lagrange, noncrossing, parking
-from nclag.algebra import NSymElement, QSymElement
+from nclag.algebra import NSymElement, QSymElement, TensorElement
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nclag"
 
 MEMOS = {
     "nclag.lagrange._series": lagrange._series,
     "nclag.lagrange.s_generator_on_g": lagrange.s_generator_on_g,
-    "nclag.lagrange.s_monomial_on_g": lagrange.s_monomial_on_g,
     "nclag.lagrange.antipode_g": lagrange.antipode_g,
     "nclag.hopf.delta_g_algebraic": hopf.delta_g_algebraic,
     "nclag.hopf.delta_g_biprofiles": hopf.delta_g_biprofiles,
@@ -59,7 +58,7 @@ def _fill():
             lagrange.s_generator_on_g(n),
         ]
         for i in comps.all_compositions(n):
-            out += [lagrange.s_monomial_on_g(i), parking.ndpf_count_of_type(i)]
+            out.append(parking.ndpf_count_of_type(i))
     lat = incidence.lattice_oracle(4)
     return out + [lat.mobius(lat.bottom, lat.top), cli._shared_parser().prog]
 
@@ -85,7 +84,8 @@ def test_clear_caches_empties_every_memo_and_both_series():
     "call",
     [
         lambda: lagrange.s_generator_on_g(6),
-        lambda: lagrange.s_monomial_on_g((6, 1)),
+        # each S leg is converted through the guarded generator table
+        lambda: algebra.convert(TensorElement.monomial(("S", "S"), (6,), (1,)), ("G", "G")),
         # the S -> G edge reads the guarded generator table part by part
         lambda: algebra.convert(NSymElement.monomial("S", (6, 1)), "G"),
         lambda: algebra.convert(QSymElement.monomial("C", (3, 3)), "M"),
@@ -110,7 +110,6 @@ def test_degree_bound_refuses_a_cache_hit(call, monkeypatch):
     "memo, name, arg",
     [
         (lagrange.s_generator_on_g, "n", 5),
-        (lagrange.s_monomial_on_g, "index", (3, 1)),
         (lagrange.antipode_g, "n", 5),
         (hopf.delta_g_algebraic, "n", 5),
     ],

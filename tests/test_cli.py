@@ -327,6 +327,14 @@ def test_incidence_counts(capsys):
     assert out.strip() == "16"
 
 
+def test_incidence_multichains_negative_n_names_n(capsys):
+    code, out, err = run(capsys, "incidence", "multichains", "--n", "-1", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "n must be nonnegative" in err
+    assert "degree" not in err
+
+
 def test_incidence_biane_without_orders_is_the_int_one(capsys):
     code, out, _ = run(capsys, "incidence", "biane", "--n", "1", "--orders", "")
     assert code == 0
@@ -775,6 +783,7 @@ BAD_INPUTS = [
     ["enumerate", "--what", "ndpf", "--n", "3", "--k", "0"],
     ["profile", "--word", "321"],
     ["profile", "--word", "123", "--encode", "1"],
+    ["profile", "--word", "", "--encode", "-1"],
     ["compatible", "--index", "x"],
     ["biprofiles", "--n", "-1"],
     ["kreweras", "--partition", "13|24"],

@@ -311,12 +311,12 @@ def test_f_change_of_basis_degree_three():
 
 
 def test_dual_transitions_invert():
-    from nclag.algebra import QSymElement, qsym_convert
+    from nclag.algebra import QSymElement, convert
 
     for n in range(5):
         for i in comps.all_compositions(n):
             x = QSymElement.monomial("C", i)
-            assert qsym_convert(qsym_convert(x, "M"), "C") == x
+            assert convert(convert(x, "M"), "C") == x
 
 
 def test_table_bound_is_enforced():

@@ -8,7 +8,10 @@ Python calls them.
 
 A second, stricter tripwire leaves the tests out: a public function that
 only tests reach must be documented in ``README.md`` (in backticks) as
-public API, or move into the test that uses it."""
+public API, or move into the test that uses it.
+
+A third refuses a public alias, a module-level ``name = fn`` that gives a
+function of the package a second public name."""
 
 import ast
 import io
@@ -87,3 +90,39 @@ def test_every_public_function_is_reached_outside_the_tests_or_documented():
     mentions = _mentions(OUTSIDE_TESTS) + _readme_names()
     dead = _unnamed(list(_public_defs()), mentions)
     assert not dead, "reached from the tests alone and not in README: " + ", ".join(dead)
+
+
+def _function_names():
+    return {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_no_public_alias_of_a_package_function():
+    """A second public name for a function, ``alias = fn`` at module level,
+    is a second way to call it: call the function by its own name."""
+    functions = _function_names()
+    aliases = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if isinstance(value, ast.Attribute):
+                name = value.attr
+            elif isinstance(value, ast.Name):
+                name = value.id
+            else:
+                continue
+            aliases += [
+                f"{path.relative_to(ROOT)}:{node.lineno} {t.id} = {name}"
+                for t in targets
+                if isinstance(t, ast.Name) and not t.id.startswith("_") and name in functions
+            ]
+    assert not aliases, "public aliases of package functions: " + ", ".join(aliases)

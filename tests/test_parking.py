@@ -196,6 +196,13 @@ def test_profile_encoding_worked_values():
     assert parking.c_map(((1, 6), (3, 1)), 10) == (4, 1, 2, 1, 1, 1)
 
 
+def test_profile_encoding_refuses_negative_n():
+    assert parking.c_map(((), ()), 0) == ()
+    for p in [((), ()), ((1,), (1,))]:
+        with pytest.raises(ValueError):
+            parking.c_map(p, -1)
+
+
 def test_profile_encoding_round_trip():
     for total in range(5):
         for p in parking._profiles_of_length(total, 6):

@@ -270,9 +270,9 @@ def m_elements(draw, max_degree=5):
 @settings(max_examples=60, deadline=None)
 @given(m_elements(), st.sampled_from(["E", "V", "C"]))
 def test_conversion_from_m_and_back(x, basis):
-    y = algebra.qsym_convert(x, basis)
+    y = algebra.convert(x, basis)
     assert y.basis == basis
-    assert algebra.qsym_convert(y, "M") == x
+    assert algebra.convert(y, "M") == x
 
 
 @st.composite
@@ -310,9 +310,8 @@ def test_conversion_never_leaves_its_side(side, terms, data):
         st.one_of(st.sampled_from(others), st.text(max_size=2)).filter(lambda t: t not in bases)
     )
     for a in bases:
-        for walk in (algebra.convert, algebra.qsym_convert):
-            with pytest.raises(algebra.BasisMismatch):
-                walk(cls(a, terms), target)
+        with pytest.raises(algebra.BasisMismatch):
+            algebra.convert(cls(a, terms), target)
 
 
 @settings(max_examples=60, deadline=None)

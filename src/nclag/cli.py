@@ -27,10 +27,6 @@ from . import (
 from .cache import cached
 
 
-class UsageError(Exception):
-    """Arguments the parser accepts but the chosen action cannot run with."""
-
-
 def _comp_arg(text):
     try:
         return comps.from_text(text)
@@ -137,8 +133,14 @@ def cmd_coproduct(args):
 
 def cmd_antipode(args):
     if args.index is not None:
-        x = algebra.NSymElement.monomial(args.basis, args.index)
-        y = algebra.convert(algebra.antipode(x), args.basis)
+        basis = args.basis or "S"
+        x = algebra.NSymElement.monomial(basis, args.index)
+        y = algebra.convert(algebra.antipode(x), basis)
+    elif args.basis is not None:
+        raise ValueError(
+            "--basis applies to --index only "
+            "(expand --series antipode --basis B expands the antipode of g_n)"
+        )
     else:
         y = lagrange.antipode_g(args.degree)
     _emit(args, y.to_json_dict, y.__repr__)
@@ -183,8 +185,7 @@ def cmd_enumerate(args):
         lines = lambda: map(noncrossing.to_text, ps)
     elif args.what == "trees":
         ts = noncrossing.enumerate_trees(n)
-        # the empty tree (n = 0) is None, whose text form is empty
-        items = lines = lambda: ["" if t is None else repr(t) for t in ts]
+        items = lines = lambda: [_tree_text(t) for t in ts]
     elif args.what == "compatible":
         pairs = parking.enumerate_compatible_pairs(n)
         items = lambda: [[list(i), list(j)] for i, j in pairs]
@@ -268,6 +269,12 @@ def cmd_kreweras(args):
 _MAX_TREE_NODES = 200
 
 
+def _tree_text(t):
+    """A tree's text form: the empty tree (no nodes) is None, whose text
+    form is empty."""
+    return "" if t is None else repr(t)
+
+
 def cmd_tree(args):
     size = max(sum(args.left), sum(args.right))
     if size > _MAX_TREE_NODES:
@@ -286,11 +293,11 @@ def cmd_tree(args):
         i, j = noncrossing.tau(t)
         payload = {
             "ok": True,
-            "tree": repr(t),
+            "tree": _tree_text(t),
             "left": list(i),
             "right": list(j),
         }
-        lines = [repr(t)]
+        lines = [_tree_text(t)]
         if args.trace:
             payload["trace"] = [[label, repr(tree)] for label, tree in trace]
             lines.extend(str(step) for step in trace)
@@ -346,33 +353,7 @@ def cmd_factorize(args):
     return 0
 
 
-# the options each incidence action reads; each is required unless it has a
-# default below
-_INCIDENCE_NEEDS = {
-    "values": ("function", "power", "degree"),
-    "multichains": ("n", "k"),
-    "chains": ("n", "jumps"),
-    "biane": ("n", "orders"),
-    "mobius-number": ("n",),
-}
-_INCIDENCE_DEFAULTS = {"function": "zeta", "power": 1, "degree": 6}
-
-
 def cmd_incidence(args):
-    reads = _INCIDENCE_NEEDS[args.action]
-    unread = [
-        f"--{name}"
-        for name in dict.fromkeys(n for names in _INCIDENCE_NEEDS.values() for n in names)
-        if name not in reads and getattr(args, name) is not None
-    ]
-    if unread:
-        raise UsageError(f"incidence {args.action} does not read {', '.join(unread)}")
-    for name in reads:
-        if getattr(args, name) is None and name in _INCIDENCE_DEFAULTS:
-            setattr(args, name, _INCIDENCE_DEFAULTS[name])
-    missing = [f"--{name}" for name in reads if getattr(args, name) is None]
-    if missing:
-        raise UsageError(f"incidence {args.action} needs {', '.join(missing)}")
     if args.action == "values":
         lagrange._check_bound(args.degree)
         base = {
@@ -736,7 +717,7 @@ def build_parser():
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--degree", type=int)
     g.add_argument("--index", type=_comp_arg)
-    q.add_argument("--basis", choices=("S", "L", "R", "G"), default="S")
+    q.add_argument("--basis", choices=("S", "L", "R", "G"), help="basis of --index, default S")
 
     q = sub.add_parser("enumerate", help="list combinatorial families")
     q.add_argument(
@@ -761,10 +742,12 @@ def build_parser():
     q.add_argument("--partition", required=True, help='e.g. "157|234|6|89"')
 
     q = sub.add_parser("tree", help="binary tree reconstruction")
-    q.add_argument("action", choices=("rebuild", "tau"))
-    q.add_argument("--left", type=_comp_arg, required=True)
-    q.add_argument("--right", type=_comp_arg, required=True)
-    q.add_argument("--trace", action="store_true")
+    actions = q.add_subparsers(dest="action", required=True)
+    rebuild, tau = actions.add_parser("rebuild"), actions.add_parser("tau")
+    for a in (rebuild, tau):
+        a.add_argument("--left", type=_comp_arg, required=True)
+        a.add_argument("--right", type=_comp_arg, required=True)
+    rebuild.add_argument("--trace", action="store_true")
 
     q = sub.add_parser("motzkin", help="Motzkin path codec")
     g = q.add_mutually_exclusive_group(required=True)
@@ -778,18 +761,23 @@ def build_parser():
     q.add_argument("--list", action="store_true")
 
     q = sub.add_parser("incidence", help="incidence-algebra computations")
-    q.add_argument(
-        "action",
-        choices=("values", "multichains", "chains", "biane", "mobius-number"),
-    )
-    defaults = {name: f"default {v}" for name, v in _INCIDENCE_DEFAULTS.items()}
-    q.add_argument("--function", choices=("zeta", "mobius", "identity"), help=defaults["function"])
-    q.add_argument("--power", type=int, help=defaults["power"])
-    q.add_argument("--degree", type=int, help=defaults["degree"])
-    q.add_argument("--n", type=int)
-    q.add_argument("--k", type=int)
-    q.add_argument("--jumps", type=_comp_arg)
-    q.add_argument("--orders", type=_comp_arg)
+    actions = q.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("values")
+    default = "default %(default)s"
+    a.add_argument("--function", choices=("zeta", "mobius", "identity"), default="zeta", help=default)
+    a.add_argument("--power", type=int, default=1, help=default)
+    a.add_argument("--degree", type=int, default=6, help=default)
+    a = actions.add_parser("multichains")
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--k", type=int, required=True)
+    a = actions.add_parser("chains")
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--jumps", type=_comp_arg, required=True)
+    a = actions.add_parser("biane")
+    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--orders", type=_comp_arg, required=True)
+    a = actions.add_parser("mobius-number")
+    a.add_argument("--n", type=int, required=True)
 
     q = sub.add_parser("verify", help="run cross-route verification suites")
     q.add_argument("--suite", choices=["all"] + sorted(SUITES), required=True)
@@ -807,8 +795,7 @@ def _shared_parser():
 
 
 def main(argv=None) -> int:
-    parser = _shared_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         # every answer about a composition grows exponentially with its
         # weight: bounded here, while the library stays unbounded
@@ -817,8 +804,6 @@ def main(argv=None) -> int:
         # looked up per call, so that a cmd_* replaced after the parser was
         # built (by a test or a tracer) is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except UsageError as e:
-        parser.error(str(e))
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

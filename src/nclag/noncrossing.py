@@ -353,8 +353,6 @@ def tree_phi(t: BinaryTree):
     """The pair (left-branch partition, right-branch partition) of a tree
     under infix labeling; the second is the Kreweras complement of the
     first (checked)."""
-    if t is None:
-        raise ValueError("tree must be nonempty")
     p_left, p_right = (
         _checked(len(owner) - 1, tuple(map(tuple, blocks)), owner)
         for blocks, owner in _branches(t)

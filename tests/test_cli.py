@@ -1,3 +1,4 @@
+import argparse
 import ast
 import functools
 import json
@@ -65,6 +66,13 @@ def test_convert(capsys):
     code, out, _ = run(capsys, "convert", "--from", "G", "--to", "S", "--index", "21")
     assert code == 0
     assert out.strip() == "S[2,1] + S[1,1,1]"
+
+
+def test_antipode_of_g_n_refuses_a_basis(capsys):
+    # `expand --series antipode --basis B` gives the antipode of g_n on B
+    code, out, err = outcome(capsys, ["antipode", "--degree", "2", "--basis", "L"])
+    assert (code, out) == (2, "")
+    assert "--basis" in err
 
 
 def test_antipode(capsys):
@@ -233,6 +241,20 @@ def test_tree_size_is_bounded_up_front(capsys, monkeypatch, argv, nodes, code):
         got, out, err = outcome(capsys, [*argv, "--left", left, "--right", right])
         assert got == code
         assert ("exceed" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("action", ["rebuild", "tau"])
+def test_tree_of_no_nodes(capsys, action):
+    # the empty tree prints as its empty text form, as in `enumerate`
+    code, out, err = run(capsys, "tree", action, "--left", "", "--right", "")
+    assert (code, err) == (0, "")
+    assert out == ("\n" if action == "rebuild" else "  ||  \n")
+
+
+def test_tree_rebuild_of_no_nodes_json(capsys):
+    code, out, _ = run(capsys, "--json", "tree", "rebuild", "--left", "", "--right", "")
+    assert code == 0
+    assert json.loads(out) == {"ok": True, "tree": "", "left": [], "right": []}
 
 
 def test_tree_rebuild_failure_exit_code(capsys):
@@ -453,24 +475,59 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+# the options each `incidence` and `tree` action reads, and no others
+ACTION_OPTIONS = {
+    ("incidence", "values"): {"--function", "--power", "--degree"},
+    ("incidence", "multichains"): {"--n", "--k"},
+    ("incidence", "chains"): {"--n", "--jumps"},
+    ("incidence", "biane"): {"--n", "--orders"},
+    ("incidence", "mobius-number"): {"--n"},
+    ("tree", "rebuild"): {"--left", "--right", "--trace"},
+    ("tree", "tau"): {"--left", "--right"},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(argv path, parser) of every parser that takes no further action."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield path, parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def _options(parser):
+    return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+def _has_required_option(parser):
+    return any(a.required for a in parser._actions if a.option_strings) or any(
+        g.required for g in parser._mutually_exclusive_groups
+    )
+
+
+LEAVES = dict(_leaf_parsers(cli.build_parser()))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["incidence", "multichains"],
         ["incidence", "chains", "--n", "4"],
         ["incidence", "biane", "--n", "4"],
-        ["incidence", "mobius-number"],
-        ["coproduct"],
-        ["antipode"],
-        ["motzkin"],
-    ],
+    ]
+    # every leaf action with a required option, run bare
+    + [list(path) for path, p in LEAVES.items() if _has_required_option(p)],
     ids=lambda argv: "-".join(argv),
 )
 def test_missing_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    out, stderr = capsys.readouterr()
+    assert out == ""
+    assert "error:" in stderr
+    assert "Traceback" not in stderr
 
 
 @pytest.mark.parametrize(
@@ -483,6 +540,7 @@ def test_missing_input_is_usage_error(capsys, argv):
         (["incidence", "biane", "--n", "4", "--orders", "2,3", "--function", "zeta"], "--function"),
         (["incidence", "mobius-number", "--n", "3", "--power", "1"], "--power"),
         (["incidence", "mobius-number", "--n", "3", "--jumps", "11"], "--jumps"),
+        (["tree", "tau", "--left", "1", "--right", "1", "--trace"], "--trace"),
     ],
     ids=lambda x: "-".join(x) if isinstance(x, list) else x,
 )
@@ -490,7 +548,25 @@ def test_incidence_refuses_an_option_it_does_not_read(capsys, argv, option):
     code, out, err = outcome(capsys, argv)
     assert code == 2
     assert out == ""
-    assert f"does not read {option}" in err
+    assert f"unrecognized arguments: {option}" in err
+
+
+def test_each_action_parser_declares_exactly_the_options_it_reads():
+    declared = {path: _options(p) for path, p in LEAVES.items() if path[0] in ("incidence", "tree")}
+    assert declared == ACTION_OPTIONS
+
+
+def test_incidence_values_alone_runs_on_its_defaults(capsys):
+    assert [path for path, p in LEAVES.items() if not _has_required_option(p)] == [
+        ("incidence", "values")
+    ]
+    bare = outcome(capsys, ["incidence", "values"])
+    spelled = ["incidence", "values", "--function", "zeta", "--power", "1", "--degree", "6"]
+    assert bare == outcome(capsys, spelled)
+    assert bare[0] == 0
+    code, out, _ = outcome(capsys, ["incidence", "values", "-h"])
+    assert code == 0
+    assert all(f"default {v}" in out for v in ("zeta", "1", "6"))
 
 
 def _verify_cases_of_the_benchmark():
@@ -779,6 +855,7 @@ BAD_INPUTS = [
     ["coproduct", "--word", "31"],
     ["coproduct", "--degree", "3", "--word", "11"],
     ["antipode", "--index", "0"],
+    ["antipode", "--degree", "2", "--basis", "L"],
     ["enumerate", "--what", "trees", "--n", "-1"],
     ["enumerate", "--what", "ndpf", "--n", "3", "--k", "0"],
     ["profile", "--word", "321"],

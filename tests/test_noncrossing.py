@@ -400,6 +400,11 @@ def test_constructor_rejects_an_empty_block():
         nc.NoncrossingPartition(3, [(1, 2), (), (3,)])
 
 
+def test_the_empty_tree_rebuilds_from_its_pair():
+    assert nc.tau(None) == ((), ())
+    assert nc.rebuild_tree(*nc.tau(None)) is None
+
+
 def test_enumeration_rejects_negative_size():
     with pytest.raises(ValueError, match="nonnegative"):
         nc.enumerate_nc(-1)

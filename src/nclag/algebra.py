@@ -2,8 +2,17 @@
 
 NSym side: S (complete), L (elementary), R (ribbon), G (Lagrange), F
 (the inclusion-exclusion companion of G).  QSym side: M (monomial), E
-(essential), V (signed essential, dual to L), C (dual to G).  All
-coefficients are Python ints, so arbitrary precision comes for free.
+(essential), V (signed essential, dual to L), C (dual to G).
+Coefficients are Python ints, so arbitrary precision comes for free,
+except in the S-elements that `incidence._in_t` builds from the hat
+values of a multiplicative function for `g_values` and `from_g_values`
+to solve with: those are Fractions.  Nothing here divides or rounds a
+coefficient, so both kinds stay exact.
+
+The product is defined once, in `_Element.__mul__`: S, L and G (on every
+leg of a tensor) concatenate indices in one pass, and every other basis
+multiplies through S and converts back.  QSym has no product yet (its
+quasi-shuffle on M is missing), so a QSym product raises BasisMismatch.
 
 Conversions walk two basis trees, one edge at a time: S with children L,
 R and G, and F below G; M with children E, V and C.  The S<->G and M<->C
@@ -124,6 +133,9 @@ class _Element:
 
     __slots__ = ("basis", "terms")
     _bases: tuple = ()
+    # the product's concatenation pass on the bases in _MULTIPLICATIVE, or
+    # None on a side with no product yet
+    _concat_into = None
 
     def __init__(self, basis, terms=None):
         if basis not in self._bases:
@@ -164,6 +176,21 @@ class _Element:
         self._check(other)
         return type(self)(self.basis, _add_into(dict(self.terms), other.terms))
 
+    def __mul__(self, other):
+        """The product: one concatenation pass when every leg basis is S, L
+        or G, else the product of the two S images, converted back."""
+        self._check(other)
+        if self._concat_into is None:
+            raise BasisMismatch(
+                f"no product on {type(self).__name__}: the quasi-shuffle on M is not implemented"
+            )
+        tensor = isinstance(self, TensorElement)
+        legs = self.basis if tensor else (self.basis,)
+        if _MULTIPLICATIVE.issuperset(legs):
+            return type(self)._adopt(self.basis, self._concat_into({}, self.terms, other.terms))
+        root = ("S",) * len(legs) if tensor else "S"
+        return convert(convert(self, root) * convert(other, root), self.basis)
+
     def __sub__(self, other):
         return self + other.scale(-1)
 
@@ -183,14 +210,9 @@ class _Element:
     def _weight(index):
         return sum(index)
 
-    def degrees(self):
-        return sorted({self._weight(i) for i in self.terms})
-
-    def is_homogeneous(self, d=None) -> bool:
-        degs = self.degrees()
-        if not degs:
-            return True
-        return degs == [d] if d is not None else len(degs) == 1
+    def is_homogeneous(self, d) -> bool:
+        """Whether every term has weight d (the zero element has)."""
+        return all(self._weight(i) == d for i in self.terms)
 
     def map_indices(self, fn):
         """Linear extension of an index map (must stay within the basis)."""
@@ -262,35 +284,11 @@ def _word_key(comp, width):
 
 class NSymElement(_Element):
     _bases = NSYM_BASES
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.basis in _MULTIPLICATIVE:
-            return NSymElement(self.basis, _mul_into({}, self.terms, other.terms))
-        if self.basis == "R":
-            return _ribbon_product(self, other)
-        raise BasisMismatch(f"product not defined on the {self.basis} basis")
+    _concat_into = staticmethod(_mul_into)
 
 
 class QSymElement(_Element):
     _bases = QSYM_BASES
-
-
-def _ribbon_product(x, y):
-    # R_I R_J = R_{I.J} + R_{I|>J}  (last part of I fused with first of J)
-    terms = {}
-    for i, a in x.terms.items():
-        for j, b in y.terms.items():
-            c = a * b
-            if not i or not j:
-                k = i + j
-                terms[k] = terms.get(k, 0) + c
-                continue
-            cat = i + j
-            fused = i[:-1] + (i[-1] + j[0],) + j[1:]
-            terms[cat] = terms.get(cat, 0) + c
-            terms[fused] = terms.get(fused, 0) + c
-    return NSymElement("R", terms)
 
 
 def _split_generator(p):
@@ -309,6 +307,8 @@ class TensorElement(_Element):
     one tensor is rejected so pairings cannot silently go wrong.
     """
 
+    _concat_into = staticmethod(_legwise_mul_into)
+
     def __init__(self, bases, terms=None):
         # any number of legs, so the bases are checked here, not listed
         bases = tuple(bases)
@@ -324,13 +324,6 @@ class TensorElement(_Element):
     @classmethod
     def one(cls, bases):
         return cls(bases, {((),) * len(bases): 1})
-
-    def __mul__(self, other):
-        """Leg-wise concatenation of indices, on multiplicative bases."""
-        self._check(other)
-        if not all(b in _MULTIPLICATIVE for b in self.basis):
-            raise BasisMismatch("tensor product needs multiplicative bases on every leg")
-        return TensorElement._adopt(self.basis, _legwise_mul_into({}, self.terms, other.terms))
 
     def coeff(self, *legs) -> int:
         return self.terms.get(tuple(map(tuple, legs)), 0)
@@ -702,20 +695,11 @@ def phi_k(x: NSymElement, k: int) -> NSymElement:
     return NSymElement("S", terms)
 
 
-def mirror_invariance_check(n: int, reading: str = "conjugate") -> bool:
-    """Whether the S-expansion of g_n is invariant under an index involution.
-
-    The invariance claimed for g holds for the conjugate reading (checked
-    mechanically here); `reading` also accepts "mirror" and
-    "mirror_conjugate" so the other candidate interpretations can be probed.
-    """
-    fn = {
-        "mirror": comps.mirror,
-        "conjugate": comps.conjugate,
-        "mirror_conjugate": comps.mirror_conjugate,
-    }[reading]
+def mirror_invariance_check(n: int) -> bool:
+    """Whether the S-expansion of g_n is invariant under the conjugation of
+    its indices, the invariance claimed for g."""
     gn = _lagrange().g_component(n)
-    return gn == gn.map_indices(fn)
+    return gn == gn.map_indices(comps.conjugate)
 
 
 def element_from_json_dict(data):

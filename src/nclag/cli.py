@@ -69,14 +69,17 @@ def _check_k_analogue(k, n):
 
 def cmd_expand(args):
     n = args.degree
+    if args.k is not None and args.series != "gk":
+        raise ValueError("--k applies to --series gk only")
+    k = 2 if args.k is None else args.k
     # 2^(n-1) terms: bounded here, while the library stays unbounded
     lagrange._check_bound(n)
     if args.series == "gk":
-        _check_k_analogue(args.k, n)
+        _check_k_analogue(k, n)
     if args.series == "g":
         x = lagrange.g_component(n)
     elif args.series == "gk":
-        x = lagrange.gk_component(args.k, n)
+        x = lagrange.gk_component(k, n)
     elif args.series == "gneg":
         x = algebra.convert(lagrange.g_neg(n), "S")
     elif args.series == "antipode":
@@ -98,6 +101,8 @@ def cmd_convert(args):
 
 
 def cmd_coproduct(args):
+    if args.route is not None and args.degree is None:
+        raise ValueError("--route applies to --degree only")
     if args.word is not None:
         # 2^n splits for n distinct letters, each parkized in one pass
         lagrange._check_bound(len(args.word))
@@ -126,7 +131,7 @@ def cmd_coproduct(args):
             "biprofiles": hopf.delta_g_biprofiles,
             "noncrossing": hopf.delta_g_noncrossing,
         }
-        t = routes[args.route](args.degree)
+        t = routes[args.route or "algebraic"](args.degree)
     _emit(args, t.to_json_dict, t.__repr__)
     return 0
 
@@ -164,11 +169,14 @@ def _check_ndpf_count(n, k):
 
 def cmd_enumerate(args):
     n = args.n
+    if args.k is not None and args.what != "ndpf":
+        raise ValueError("--k applies to --what ndpf only")
+    k = 1 if args.k is None else args.k
     # Catalan or 2^(n-1) items (`compatible` tries all pairs of
     # compositions): bounded here, while the library stays unbounded
     lagrange._check_bound(n)
     if args.what == "ndpf":
-        _check_ndpf_count(n, args.k)
+        _check_ndpf_count(n, k)
     # items() builds the JSON items and lines() the text lines: only the
     # form asked for is built
     if args.what == "compositions":
@@ -176,7 +184,7 @@ def cmd_enumerate(args):
         items = lambda: [list(c) for c in cs]
         lines = lambda: map(comps.to_text, cs)
     elif args.what == "ndpf":
-        words = parking.enumerate_k_ndpf(n, args.k)
+        words = parking.enumerate_k_ndpf(n, k)
         items = lambda: [list(w) for w in words]
         lines = lambda: map(comps.to_text, words)
     elif args.what == "nc":
@@ -429,7 +437,7 @@ def _suite_bases(max_n):
     for n in range(1, min(max_n, 5) + 1):
         yield (
             f"conjugate reading fixes g, n={n}",
-            algebra.mirror_invariance_check(n, "conjugate"),
+            algebra.mirror_invariance_check(n),
             {"n": n},
         )
     for n in range(1, max_n + 1):
@@ -694,7 +702,7 @@ def build_parser():
         default="g",
     )
     q.add_argument("--degree", type=int, required=True)
-    q.add_argument("--k", type=int, default=2, help="parameter for --series gk")
+    q.add_argument("--k", type=int, help="parameter for --series gk, default 2")
     q.add_argument("--basis", choices=("S", "L", "R", "G", "F"), default="S")
 
     q = sub.add_parser("convert", help="convert a basis monomial")
@@ -710,7 +718,7 @@ def build_parser():
     q.add_argument(
         "--route",
         choices=("algebraic", "biprofiles", "noncrossing"),
-        default="algebraic",
+        help="route for --degree, default algebraic",
     )
 
     q = sub.add_parser("antipode", help="antipode of g_n or of a monomial")
@@ -726,7 +734,7 @@ def build_parser():
         required=True,
     )
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, default=1)
+    q.add_argument("--k", type=int, help="parameter for --what ndpf, default 1")
 
     q = sub.add_parser("profile", help="profile of a nondecreasing word")
     q.add_argument("--word", type=_word_arg, required=True)

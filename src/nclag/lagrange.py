@@ -64,7 +64,7 @@ class GradedSeries:
         if self.components[:1] != [_ONE]:
             raise ValueError("constant term must be the unit")
         for d, c in enumerate(self.components):
-            if not c.is_homogeneous(d) and not c.is_zero():
+            if not c.is_homogeneous(d):
                 raise ValueError(f"component {d} is not homogeneous of degree {d}")
         self._pw = {}
         self._coeffs = self.components.__getitem__ if coeffs is None else coeffs

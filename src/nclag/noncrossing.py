@@ -557,14 +557,10 @@ def path_to_word(path: str):
     return nc_to_ndpf(NoncrossingPartition(n, blocks))
 
 
-def enumerate_s_words(n, upsteps=None):
-    """All source words of length n, optionally only those with a given
-    number of repeated letters."""
-    out = []
-    for w in parking.enumerate_ndpf(n):
-        if all(c <= 2 for c in Counter(w).values()):
-            if upsteps is None or sum(
-                1 for c in Counter(w).values() if c == 2
-            ) == upsteps:
-                out.append(sprime_to_s(w))
-    return sorted(out)
+def enumerate_s_words(n):
+    """All source words of length n."""
+    return sorted(
+        sprime_to_s(w)
+        for w in parking.enumerate_ndpf(n)
+        if all(c <= 2 for c in Counter(w).values())
+    )

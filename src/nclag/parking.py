@@ -19,18 +19,9 @@ def is_nondecreasing(w) -> bool:
     return all(w[i] <= w[i + 1] for i in range(len(w) - 1))
 
 
-def is_k_parking(w, k=1) -> bool:
-    """Parking test: the sorted word satisfies a_i <= k(i-1)+1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    a = sorted(w)
-    return all(v >= 1 for v in a) and all(
-        a[i] <= k * i + 1 for i in range(len(a))
-    )
-
-
 def is_parking(w) -> bool:
-    return is_k_parking(w, 1)
+    """Parking test: the sorted word satisfies 1 <= a_i <= i."""
+    return all(1 <= v <= i for i, v in enumerate(sorted(w), 1))
 
 
 def is_ndpf(w) -> bool:

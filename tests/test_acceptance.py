@@ -19,7 +19,7 @@ from nclag import (
 )
 
 from test_lagrange import transition_matrix
-from test_noncrossing import permutation_to_nc
+from test_noncrossing import permutation_to_nc, words_by_upsteps
 
 
 def catalan(n):
@@ -207,14 +207,14 @@ def test_09_compatible_pairs_motzkin_and_touchard():
     assert len(js) == 9
     assert js[0] == (1, 1, 2, 2)
     for n in range(1, 11):
+        tally = words_by_upsteps(n)
         for k in range(n // 2 + 1):
-            words = nc.enumerate_s_words(n, k)
-            assert len(words) == math.comb(n, 2 * k) * catalan(k)
-            for w in words:
-                w2 = nc.s_to_sprime(w)
-                assert nc.sprime_to_s(w2) == w
-                assert nc.path_to_word(nc.word_to_path(w2)) == w2
-    assert [len(nc.enumerate_s_words(5, k)) for k in range(3)] == [1, 10, 10]
+            assert tally[k] == math.comb(n, 2 * k) * catalan(k)
+        for w in nc.enumerate_s_words(n):
+            w2 = nc.s_to_sprime(w)
+            assert nc.sprime_to_s(w2) == w
+            assert nc.path_to_word(nc.word_to_path(w2)) == w2
+    assert [words_by_upsteps(5)[k] for k in range(3)] == [1, 10, 10]
     for n in range(1, 13):
         total = sum(
             2 ** (n - 2 * k) * math.comb(n, 2 * k) * catalan(k)

@@ -39,9 +39,41 @@ def test_ribbon_product_rule():
     assert len(x.terms) == 2
 
 
+def ribbon_rule(i, j):
+    """R_I R_J = R_(I.J) + R_(I|>J), the last part of I fused with the first
+    of J; R_() is the unit."""
+    if not i or not j:
+        return NSymElement.monomial("R", i + j)
+    fused = i[:-1] + (i[-1] + j[0],) + j[1:]
+    return NSymElement("R", {i + j: 1, fused: 1})
+
+
+def test_ribbon_products_through_s_equal_the_ribbon_rule():
+    ribbons = [i for n in range(5) for i in comps.all_compositions(n)]
+    pairs = list(product(ribbons, repeat=2))
+    assert len(pairs) == 256
+    for i, j in pairs:
+        got = NSymElement.monomial("R", i) * NSymElement.monomial("R", j)
+        assert got == ribbon_rule(i, j), (i, j)
+
+
+def test_concatenating_products_convert_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("converted")
+
+    monkeypatch.setattr(algebra, "convert", refuse)
+    for basis in ("S", "L", "G"):
+        x = NSymElement(basis, {(2,): 3, (1, 1): -1})
+        assert (x * x).terms == {(2, 2): 9, (2, 1, 1): -3, (1, 1, 2): -3, (1, 1, 1, 1): 1}
+    t = TensorElement.monomial(("G", "S", "L"), (1,), (), (2,), coeff=2)
+    assert t * t == TensorElement.monomial(("G", "S", "L"), (1, 1), (), (2, 2), coeff=4)
+
+
 def test_mixed_basis_product_rejected():
     with pytest.raises(BasisMismatch):
         NSymElement.monomial("S", (1,)) * NSymElement.monomial("R", (1,))
+    with pytest.raises(BasisMismatch):
+        TensorElement.one(("S", "R")) * TensorElement.one(("S", "F"))
 
 
 def test_nsym_round_trips():
@@ -151,9 +183,10 @@ def test_phi_psi_are_adjoint():
 
 
 def test_series_symmetry_only_under_descent_complement():
-    assert mirror_invariance_check(3, "conjugate")
-    assert not mirror_invariance_check(3, "mirror")
-    assert not mirror_invariance_check(3, "mirror_conjugate")
+    assert mirror_invariance_check(3)
+    g3 = lagrange.g_component(3)
+    assert g3 != g3.map_indices(comps.mirror)
+    assert g3 != g3.map_indices(comps.mirror_conjugate)
 
 
 def test_json_round_trip():
@@ -175,9 +208,10 @@ def test_tensor_basis_pair_must_be_two_nsym_bases():
 
 def test_tensor_degree_is_the_weight_of_both_legs():
     t = TensorElement.monomial(("G", "G"), (1,), (2,))
-    assert t.degrees() == [3]
-    assert t.is_homogeneous() and t.is_homogeneous(3)
-    assert not (t + TensorElement.one(("G", "G"))).is_homogeneous()
+    assert t.is_homogeneous(3)
+    assert not t.is_homogeneous(1) and not t.is_homogeneous(2)
+    assert not (t + TensorElement.one(("G", "G"))).is_homogeneous(3)
+    assert TensorElement(("G", "G")).is_homogeneous(3)
 
 
 def test_tensor_swap_and_product():

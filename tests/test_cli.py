@@ -75,6 +75,37 @@ def test_antipode_of_g_n_refuses_a_basis(capsys):
     assert "--basis" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["expand", "--series", "g", "--k", "3", "--degree", "2"], "--k"),
+        (["enumerate", "--what", "nc", "--n", "3", "--k", "2"], "--k"),
+        (["coproduct", "--index", "21", "--route", "noncrossing"], "--route"),
+        (["coproduct", "--word", "112", "--route", "algebraic"], "--route"),
+    ],
+    ids=lambda x: "-".join(x) if isinstance(x, list) else x,
+)
+def test_an_option_the_choice_does_not_read_is_refused(capsys, argv, option):
+    # only `expand --series gk` reads --k, only `enumerate --what ndpf`
+    # does, and only `coproduct --degree` reads --route
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "bare, explicit",
+    [
+        (["expand", "--series", "gk", "--degree", "3"], ["--k", "2"]),
+        (["enumerate", "--what", "ndpf", "--n", "4"], ["--k", "1"]),
+        (["coproduct", "--degree", "3"], ["--route", "algebraic"]),
+    ],
+    ids=lambda x: "-".join(x),
+)
+def test_an_option_left_out_takes_its_default(capsys, bare, explicit):
+    assert outcome(capsys, bare) == outcome(capsys, bare + explicit)
+
+
 def test_antipode(capsys):
     code, out, _ = run(capsys, "antipode", "--degree", "3")
     assert code == 0
@@ -886,6 +917,9 @@ BAD_INPUTS = [
     ["antipode", "--index", "99999999", "--basis", "R"],
     ["compatible", "--index", "99999999999"],
     ["verify", "--suite", "factorization", "--max-n", "20"],
+    ["expand", "--series", "antipode", "--k", "2", "--degree", "3"],
+    ["enumerate", "--what", "compositions", "--n", "3", "--k", "1"],
+    ["coproduct", "--index", "11", "--route", "biprofiles"],
 ]
 
 

@@ -11,7 +11,9 @@ only tests reach must be documented in ``README.md`` (in backticks) as
 public API, or move into the test that uses it.
 
 A third refuses a public alias, a module-level ``name = fn`` that gives a
-function of the package a second public name."""
+function of the package a second public name.
+
+A fourth keeps one product rule: exactly one class defines ``__mul__``."""
 
 import ast
 import io
@@ -126,3 +128,16 @@ def test_no_public_alias_of_a_package_function():
                 if isinstance(t, ast.Name) and not t.id.startswith("_") and name in functions
             ]
     assert not aliases, "public aliases of package functions: " + ", ".join(aliases)
+
+
+def test_one_class_defines_the_product():
+    """Every element multiplies by one rule, `_Element.__mul__`; a new
+    product (QSym's quasi-shuffle) hooks into it rather than forking it."""
+    owners = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__mul__" for f in node.body)
+    ]
+    assert len(owners) == 1, "classes defining __mul__: " + ", ".join(owners)

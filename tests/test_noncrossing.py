@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -351,14 +352,21 @@ def test_motzkin_codec_round_trips():
             assert nc.path_to_word(nc.word_to_path(w2)) == w2
 
 
+def words_by_upsteps(n):
+    """The source words of length n tallied by their number of repeated
+    letters, the up-steps of their Motzkin paths."""
+    return Counter(sum(c == 2 for c in Counter(w).values()) for w in nc.enumerate_s_words(n))
+
+
 def test_word_counts_by_upsteps():
     # row n = 5 of the refined counts
-    row = [len(nc.enumerate_s_words(5, k)) for k in range(3)]
-    assert row == [1, 10, 10]
+    row = words_by_upsteps(5)
+    assert [row[k] for k in range(3)] == [1, 10, 10]
     for n in range(1, 10):
+        tally = words_by_upsteps(n)
+        assert sorted(tally) == list(range(n // 2 + 1))
         for k in range(n // 2 + 1):
-            want = math.comb(n, 2 * k) * catalan(k)
-            assert len(nc.enumerate_s_words(n, k)) == want
+            assert tally[k] == math.comb(n, 2 * k) * catalan(k)
 
 
 def test_touchard_identity():

@@ -16,8 +16,9 @@ def catalan(n):
 def test_parking_predicate():
     assert parking.is_parking((1, 1, 3))
     assert not parking.is_parking((2, 2, 3))
-    assert parking.is_k_parking((1, 3, 5), 2)
-    assert not parking.is_k_parking((1, 4, 5), 2)
+    # k = 2: the sorted word satisfies a_i <= 2(i-1)+1
+    assert (1, 3, 5) in parking.enumerate_k_ndpf(3, 2)
+    assert (1, 4, 5) not in parking.enumerate_k_ndpf(3, 2)
 
 
 def test_one_pass_ndpf_check_equals_the_two_checks():

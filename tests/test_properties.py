@@ -1,9 +1,9 @@
 """Property-based tests of the noncrossing bijections, the crossing test,
 the composition codec and lattice walks, the basis conversions and their
-walk over the basis trees, the antipode, the scalar functional equation,
-the series engine's inverse solve and inverse, tensors, the profile code,
-the compatible-pair bijection and tree rebuilding, on random inputs larger
-than the exhaustive tests reach."""
+walk over the basis trees, the product rule, the antipode, the scalar
+functional equation, the series engine's inverse solve and inverse,
+tensors, the profile code, the compatible-pair bijection and tree
+rebuilding, on random inputs larger than the exhaustive tests reach."""
 
 import itertools
 import json
@@ -427,13 +427,17 @@ def test_tensor_swap_and_json_round_trips(t):
     assert algebra.element_from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
 
 
-@st.composite
-def mixed_weight_s_elements(draw, max_weight=5):
+def mixed_weight_terms(max_weight, max_size):
+    """A few random terms of mixed weights up to `max_weight`, to be read on
+    any basis."""
+    index = st.integers(0, max_weight).flatmap(lambda d: st.sampled_from(comps.all_compositions(d)))
+    return st.dictionaries(index, st.integers(-9, 9), max_size=max_size)
+
+
+def mixed_weight_s_elements(max_weight=5):
     """S-basis elements of weight at most `max_weight`, a few random terms
     of mixed weights (`s_elements` draws homogeneous ones)."""
-    weights = st.integers(0, max_weight)
-    index = weights.flatmap(lambda d: st.sampled_from(comps.all_compositions(d)))
-    return NSymElement("S", draw(st.dictionaries(index, st.integers(-9, 9), max_size=4)))
+    return mixed_weight_terms(max_weight, 4).map(lambda terms: NSymElement("S", terms))
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,3 +489,29 @@ def test_three_leg_terms_sort_by_total_weight_then_each_leg_descent_word(t):
         key=lambda kv: (t._weight(kv[0]), *map(descent_word, kv[0]), *map(sum, kv[0])),
     )
     assert t._sorted_terms() == want
+
+
+@pytest.mark.parametrize("basis", algebra.NSYM_BASES)
+@settings(max_examples=20, deadline=None)
+@given(a=mixed_weight_terms(3, 3), b=mixed_weight_terms(3, 3), c=mixed_weight_terms(3, 3))
+def test_every_nsym_product_is_the_product_on_s_and_associative(basis, a, b, c):
+    x, y, z = (NSymElement(basis, t) for t in (a, b, c))
+    xy = x * y
+    assert xy.basis == basis
+    assert algebra.convert(xy, "S") == algebra.convert(x, "S") * algebra.convert(y, "S")
+    assert xy * z == x * (y * z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k_leg_tensors(2).filter(lambda t: not {"R", "F"}.isdisjoint(t.basis)), k_leg_tensors(2))
+def test_a_tensor_with_an_r_or_f_leg_multiplies_as_its_s_image(t, other):
+    u = TensorElement(t.basis, other.terms)
+    to_s = lambda x: algebra.convert(x, ("S", "S"))
+    assert to_s(t * u) == to_s(t) * to_s(u)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(algebra.QSYM_BASES), mixed_weight_terms(3, 3), mixed_weight_terms(3, 3))
+def test_qsym_product_is_refused(basis, a, b):
+    with pytest.raises(algebra.BasisMismatch, match="quasi-shuffle"):
+        QSymElement(basis, a) * QSymElement(basis, b)

@@ -209,6 +209,8 @@ def cmd_enumerate(args):
 
 
 def cmd_profile(args):
+    if args.encode is not None and args.encode > _MAX_ENCODE:
+        raise ValueError(f"--encode {args.encode} exceeds {_MAX_ENCODE}")
     s, c = parking.profile(args.word)
     payload = {"starts": list(s), "lengths": list(c)}
     text = f"starts {list(s)} lengths {list(c)}"
@@ -275,6 +277,10 @@ def cmd_kreweras(args):
 # its output grows quadratically in the node count: a constant, which
 # NCLAG_MAX_DEGREE does not raise
 _MAX_TREE_NODES = 200
+
+# `profile --encode N` prints a composition of N, so its output grows
+# linearly in N whatever the word: a constant as well
+_MAX_ENCODE = 10_000
 
 
 def _tree_text(t):

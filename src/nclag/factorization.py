@@ -9,10 +9,8 @@ minimal when the transposition lengths add up.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 
-from . import compositions as comps, hopf, noncrossing
+from . import algebra, compositions as comps, hopf, noncrossing
 
 
 def canonical_permutation(i_comp):
@@ -110,6 +108,11 @@ def _minimal_pairs(sigma, j_comp):
     orbits both ends equal lt(sigma), so lt(sigma|B) = |B| - 1 for each
     orbit: sigma is one cycle on B, and every cycle of alpha, lying in an
     orbit, lies inside a cycle of sigma.
+
+    Per run: alpha and beta = alpha^-1 sigma preserve each cycle B of
+    sigma and generate a transitive group on it, so cyc(alpha|B) +
+    cyc(beta|B) <= |B| + 1.  These bounds sum to the minimality condition,
+    so a factorization is minimal exactly when every B attains |B| + 1.
     """
     lt_beta = transposition_length(sigma) - comps.weight(j_comp)
     for alpha in permutations_of_reduced_type(len(sigma), j_comp, within=sigma):
@@ -152,56 +155,49 @@ def count_minimal_factorizations(i_comp, j_comp, k_comp) -> int:
     return len(canonical_factorizations(i_comp, j_comp, k_comp))
 
 
-def _run_table(length) -> Counter:
-    """(ordered cycle lengths of alpha, ordered cycle lengths of beta) ->
-    count, over the length! rearrangements alpha of one run of sigma, with
-    beta = alpha^-1 sigma on that run.
+def _run_table(length) -> algebra.TensorElement:
+    """The minimal factorizations alpha * beta of one run of sigma, an
+    L-cycle (L = length), as the G (x) G tensor that counts them by reduced
+    ordered cycle types: the pairs whose cycle counts sum to L + 1.
 
     Relabelled 1..L in order, sigma on a run is x -> x+1 mod L, so beta's
     one-line form is alpha^-1's rotated left by one.  A permutation and its
     inverse have the same ordered cycle lengths, so with p = alpha^-1 the
-    pair is (type of p, type of p rotated by one).  The one-line tuples fall
-    into rotation orbits of size L, one per tuple that starts with 1:
+    pair is (type of p, type of p rotated by one).  The L! one-line tuples
+    fall into rotation orbits of size L, one per tuple that starts with 1:
     walking an orbit once pairs the lengths of rotation k with those of
     rotation k+1, one cycle walk per permutation.
     """
-    table = Counter()
+    table = {}
     for rest in itertools.permutations(range(2, length + 1)):
         p = (1, *rest)
         types = [
             tuple(map(len, noncrossing.cycles_of(p[k:] + p[:k])))
             for k in range(length)
         ]
-        table.update(zip(types, types[1:] + types[:1]))
-    return table
+        for a, b in zip(types, types[1:] + types[:1]):
+            if len(a) + len(b) == length + 1:
+                key = comps.reduce_parts(a), comps.reduce_parts(b)
+                table[key] = table.get(key, 0) + 1
+    return algebra.TensorElement(("G", "G"), table)
 
 
-def factorization_tally(i_comp) -> Counter:
+def factorization_tally(i_comp) -> algebra.TensorElement:
     """Minimal factorizations of the canonical permutation of reduced type
-    I, counted by the reduced ordered cycle types (J, K) of their factors.
+    I, as the G (x) G tensor that counts them by the reduced ordered cycle
+    types (J, K) of their factors.
 
-    By the `_minimal_pairs` lemma the candidates alpha are the permutations
-    whose cycles lie inside the cycles of sigma.  These are consecutive
-    runs, and alpha and sigma preserve each run, so beta does too, and the
-    ordered cycle lengths of alpha and of beta are concatenations of their
-    lengths on the runs.  So the tally combines one `_run_table` per
-    distinct run length: concatenate the lengths, multiply the counts, and
-    keep a combination only if it meets the global condition
-    2m - cyc(alpha) - cyc(beta) = lt(sigma); no run is required to be
-    minimal on its own.
+    By the `_minimal_pairs` lemma and its per-run step, a factorization is
+    minimal exactly when it is minimal on each run of sigma.  The ordered
+    cycle lengths of both factors concatenate over the runs, as G indices
+    do under the product, so the tally is the product over the parts p of
+    I of `_run_table(p + 1)`.
     """
-    sigma = _bounded_canonical_permutation(i_comp)
-    m = len(sigma)
-    lengths = [len(run) for run in noncrossing.cycles_of(sigma)]
-    lt_sigma = m - len(lengths)
-    tables = {length: _run_table(length) for length in set(lengths)}
-    tally = Counter()
-    for combo in itertools.product(*(tables[length].items() for length in lengths)):
-        alpha = [c for (a, _), _ in combo for c in a]
-        beta = [c for (_, b), _ in combo for c in b]
-        if 2 * m - len(alpha) - len(beta) == lt_sigma:
-            key = comps.reduce_parts(alpha), comps.reduce_parts(beta)
-            tally[key] += math.prod(count for _, count in combo)
+    _bounded_canonical_permutation(i_comp)
+    tables = {p: _run_table(p + 1) for p in set(i_comp)}
+    tally = algebra.TensorElement.one(("G", "G"))
+    for p in i_comp:
+        tally = tally * tables[p]
     return tally
 
 
@@ -212,13 +208,12 @@ def coproduct_mismatch(i_comp):
     None when they all agree."""
     i_comp = tuple(i_comp)
     tally = factorization_tally(i_comp)
-    coeffs = hopf.delta_g_monomial(i_comp).terms
-    if tally == coeffs:
+    coproduct = hopf.delta_g_monomial(i_comp)
+    if tally == coproduct:
         return None
-    j, k = min(
-        key for key in tally.keys() | coeffs.keys() if tally[key] != coeffs.get(key, 0)
-    )
-    return j, k, tally[j, k], coeffs.get((j, k), 0)
+    counts, coeffs = tally.terms, coproduct.terms
+    j, k = min(key for key, _ in counts.items() ^ coeffs.items())
+    return j, k, counts.get((j, k), 0), coeffs.get((j, k), 0)
 
 
 def partition_tally(sigma):

@@ -127,12 +127,10 @@ class GradedSeries:
         return "\n".join(lines)
 
 
-def _sum_of_products(indices, left, right, c=1, acc=None):
-    """c * sum over e in indices of left(e) * right(e) on the S basis,
-    accumulated in one fresh dict (or into `acc`, a fresh dict of the
-    caller's, which the result then owns); right(e) is only computed where
-    left(e) is nonzero."""
-    acc = {} if acc is None else acc
+def _sum_of_products(indices, left, right, c=1, *, acc):
+    """acc + c * sum over e in indices of left(e) * right(e) on the S basis,
+    accumulated into `acc`, a fresh dict of the caller's, which the result
+    then owns; right(e) is only computed where left(e) is nonzero."""
     for e in indices:
         x = left(e)
         if x.terms:
@@ -266,12 +264,14 @@ def free_cumulants(N) -> GradedSeries:
     return coefficients_of(sigma_series(N), lambda n: n, N)
 
 
+def _neg_g_series(N) -> GradedSeries:
+    """g(-A), the negated-alphabet g series, up to degree N."""
+    return GradedSeries([algebra.neg_alphabet(g_component(d)) for d in range(N + 1)])
+
+
 def free_cumulant_check(N) -> bool:
     """The cumulant series must invert the negated-alphabet g series."""
-    neg = GradedSeries(
-        [algebra.neg_alphabet(g_component(d)) for d in range(N + 1)]
-    )
-    return series_inverse(neg).components == free_cumulants(N).components
+    return series_inverse(_neg_g_series(N)).components == free_cumulants(N).components
 
 
 def cumulant_reciprocity_check(n) -> bool:
@@ -283,9 +283,7 @@ def cumulant_reciprocity_check(n) -> bool:
 
 def gamma_check(N) -> bool:
     """inverse(g(-A)) = sum_n S_n g(-A)^n, degree by degree."""
-    neg = GradedSeries(
-        [algebra.neg_alphabet(g_component(d)) for d in range(N + 1)]
-    )
+    neg = _neg_g_series(N)
     left = series_inverse(neg)
     for d in range(N + 1):
         right = _sum_of_products(

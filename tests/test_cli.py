@@ -587,6 +587,80 @@ def test_each_action_parser_declares_exactly_the_options_it_reads():
     assert declared == ACTION_OPTIONS
 
 
+# every integer option of every leaf action, set to 10**9 with the other
+# required options small and valid: (argv path, option) -> (the other
+# options, the exit code); each answers at once, refused or computed in
+# closed form
+INT_OPTIONS_AT_A_BILLION = {
+    (("expand",), "--degree"): ([], 2),
+    (("expand",), "--k"): (["--series", "gk", "--degree", "2"], 2),
+    (("coproduct",), "--degree"): ([], 2),
+    (("antipode",), "--degree"): ([], 2),
+    (("enumerate",), "--n"): (["--what", "nc"], 2),
+    (("enumerate",), "--k"): (["--what", "ndpf", "--n", "2"], 2),
+    (("profile",), "--encode"): (["--word", "1"], 2),
+    (("biprofiles",), "--n"): ([], 2),
+    (("incidence", "values"), "--power"): ([], 0),
+    (("incidence", "values"), "--degree"): ([], 2),
+    (("incidence", "multichains"), "--n"): (["--k", "2"], 2),
+    (("incidence", "multichains"), "--k"): (["--n", "3"], 0),
+    # refused: the jumps must sum to the rank, n - 1
+    (("incidence", "chains"), "--n"): (["--jumps", "111"], 2),
+    (("incidence", "biane"), "--n"): (["--orders", "2"], 0),
+    (("incidence", "mobius-number"), "--n"): ([], 2),
+    (("verify",), "--max-n"): (["--suite", "all"], 2),
+}
+
+
+@pytest.fixture
+def c_map_up_to_the_cap(monkeypatch):
+    """`parking.c_map` failing when reached above the `--encode` cap, so that
+    an unbounded `profile --encode` fails without allocating its output."""
+    c_map = parking.c_map
+
+    def guarded(p, n):
+        if n > 10_000:
+            raise AssertionError(f"c_map reached with n = {n}")
+        return c_map(p, n)
+
+    monkeypatch.setattr(parking, "c_map", guarded)
+
+
+def test_every_integer_option_has_a_row_at_a_billion():
+    declared = {
+        (path, o)
+        for path, p in LEAVES.items()
+        for a in p._actions
+        if a.type is int
+        for o in a.option_strings
+    }
+    assert declared == set(INT_OPTIONS_AT_A_BILLION)
+
+
+@pytest.mark.parametrize(
+    "path, option", INT_OPTIONS_AT_A_BILLION, ids=lambda v: "-".join(v) if isinstance(v, tuple) else v
+)
+def test_an_integer_option_at_a_billion_is_answered(
+    capsys, monkeypatch, c_map_up_to_the_cap, path, option
+):
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    rest, code = INT_OPTIONS_AT_A_BILLION[path, option]
+    got, out, err = outcome(capsys, [*path, option, str(10**9), *rest])
+    assert got == code
+    assert bool(out) == (code == 0)
+    assert ("error" in err) == (code == 2)
+
+
+def test_profile_encode_is_bounded_before_it_is_encoded(capsys, c_map_up_to_the_cap):
+    code, out, err = run(capsys, "profile", "--word", "1", "--encode", "10001")
+    assert code == 2
+    assert out == ""
+    assert "--encode" in err
+    code, out, _ = run(capsys, "--json", "profile", "--word", "1", "--encode", "10000")
+    assert code == 0
+    assert sum(json.loads(out)["composition"]) == 10_000
+
+
 def test_incidence_values_alone_runs_on_its_defaults(capsys):
     assert [path for path, p in LEAVES.items() if not _has_required_option(p)] == [
         ("incidence", "values")

@@ -236,29 +236,33 @@ def cmd_biprofiles(args):
     # Catalan(n + 1) biprofiles: bounded here, while the library stays unbounded
     lagrange._check_bound(args.n + 1)
     bps = parking.enumerate_parking_biprofiles(args.n)
-    items = [
-        (left, right, *parking.biprofile_to_compositions(left, right))
-        for left, right in bps
-    ]
-    _emit(
-        args,
-        lambda: {
+    # each distinct profile is encoded once, as a composition of n + 1, and
+    # written once in the output asked for
+    codes = {p: parking.c_map(p, args.n + 1) for p in {p for pair in bps for p in pair}}
+
+    def payload():
+        lists = {p: ([list(p[0]), list(p[1])], list(i)) for p, i in codes.items()}
+        return {
             "n": args.n,
             "count": len(bps),
             "items": [
                 {
-                    "left": [list(left[0]), list(left[1])],
-                    "right": [list(right[0]), list(right[1])],
-                    "compositions": [list(i), list(j)],
+                    "left": lists[left][0],
+                    "right": lists[right][0],
+                    "compositions": [lists[left][1], lists[right][1]],
                 }
-                for left, right, i, j in items
+                for left, right in bps
             ],
-        },
-        lambda: "\n".join(
-            f"{left} {right} -> {comps.to_text(i)} | {comps.to_text(j)}"
-            for left, right, i, j in items
-        ),
-    )
+        }
+
+    def text():
+        words = {p: (str(p), comps.to_text(i)) for p, i in codes.items()}
+        return "\n".join(
+            f"{words[left][0]} {words[right][0]} -> {words[left][1]} | {words[right][1]}"
+            for left, right in bps
+        )
+
+    _emit(args, payload, text)
     return 0
 
 
@@ -281,6 +285,17 @@ _MAX_TREE_NODES = 200
 # `profile --encode N` prints a composition of N, so its output grows
 # linearly in N whatever the word: a constant as well
 _MAX_ENCODE = 10_000
+
+# `incidence values --power k` and `incidence multichains --k k` print
+# values whose digits grow as the degree times log k, after log k
+# convolutions: a constant too, at which both answer in about 0.02 s at
+# degree 10
+_MAX_POWER = 1_000_000
+
+
+def _check_power(option, k):
+    if k > _MAX_POWER:
+        raise ValueError(f"{option} {k} exceeds {_MAX_POWER}")
 
 
 def _tree_text(t):
@@ -369,6 +384,7 @@ def cmd_factorize(args):
 
 def cmd_incidence(args):
     if args.action == "values":
+        _check_power("--power", args.power)
         lagrange._check_bound(args.degree)
         base = {
             "zeta": incidence.zeta,
@@ -385,6 +401,7 @@ def cmd_incidence(args):
         }
         text = " ".join(str(v) for v in vals)
     elif args.action == "multichains":
+        _check_power("--k", args.k)
         lagrange._check_bound(args.n)
         c = incidence.multichain_count(args.n, args.k)
         payload = {"n": args.n, "k": args.k, "count": c}

@@ -134,6 +134,7 @@ def zeta_power_value(k, n) -> int:
     return comb(k * n + k, n) // (n + 1)
 
 
+@cached
 def multichain_count(n, k) -> int:
     """Weakly increasing k-tuples in the lattice one size larger; one more
     convolution factor than free elements."""

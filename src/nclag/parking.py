@@ -155,33 +155,6 @@ def is_profile(p) -> bool:
     return True
 
 
-def is_parking_biprofile(left, right) -> bool:
-    """Whether representatives u, v of the two profiles concatenate to a
-    parking function: in the joint profile (the biletters (x, y) of both
-    profiles merged by start x, left biletters winning ties),
-    x_m <= y_1+...+y_{m-1}+1.
-
-    Both start tuples are strictly increasing, so one merge walks the joint
-    profile; it stops at the first biletter with x > acc + 1.  (The tie
-    rule does not change the answer: the second biletter of a tie follows
-    one that passed with the same x and a larger total.)
-    """
-    s, c = left
-    t, d = right
-    i = j = acc = 0
-    while i < len(s) or j < len(t):
-        if j == len(t) or (i < len(s) and s[i] <= t[j]):
-            x, y = s[i], c[i]
-            i += 1
-        else:
-            x, y = t[j], d[j]
-            j += 1
-        if x > acc + 1:
-            return False
-        acc += y
-    return True
-
-
 def _profiles_of_length(total, max_start):
     """All profiles with lengths summing to `total` and starts <= max_start."""
     out = []
@@ -203,18 +176,69 @@ def _profiles_of_length(total, max_start):
 
 
 def enumerate_parking_biprofiles(n):
-    """All parking biprofiles of size n (lengths on both sides sum to n)."""
+    """All parking biprofiles of size n (lengths on both sides sum to n):
+    by the left total m, then the left profile, then the right profile,
+    each in the order of `_profiles_of_length`.  A fresh list of the
+    memoized tuple of n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    by_length = [_profiles_of_length(total, max(n, 1)) for total in range(n + 1)]
+    return list(_parking_biprofiles(n))
+
+
+@cached
+def _parking_biprofiles(n):
+    """The parking biprofiles of size n, built rather than filtered.
+
+    A pair (left, right) is a parking biprofile when representatives u, v
+    of the two profiles concatenate to a parking function: in the joint
+    profile (the biletters (x, y) of both profiles merged by start x, left
+    biletters winning ties), x_m <= y_1+...+y_{m-1}+1.
+
+    For each left profile, the right profiles are walked biletter by
+    biletter in the order of `_profiles_of_length`, merging the joint
+    profile as they go.  A right biletter at t comes after every left one
+    at or before t, which is then final: no later right biletter comes
+    before it.  A branch is dropped at its first biletter with x > acc + 1,
+    and so is every larger t at the same depth: whatever is merged before
+    a larger t starts past acc + 1 as well.  Equal right profiles are
+    shared between pairs.
+    """
+    top = max(n, 1)
     out = []
+    shared = {}
+    starts, lengths = [], []
+
+    def rights(left, s, c, k, min_start, remaining, i, acc):
+        # i: the k left biletters s, c merged so far; acc: their lengths
+        # and those of the right biletters placed
+        if remaining == 0:
+            while i < k:
+                if s[i] > acc + 1:
+                    return
+                acc += c[i]
+                i += 1
+            right = (tuple(starts), tuple(lengths))
+            out.append((left, shared.setdefault(right, right)))
+            return
+        for t in range(min_start, top + 1):
+            while i < k and s[i] <= t:
+                if s[i] > acc + 1:
+                    return
+                acc += c[i]
+                i += 1
+            if t > acc + 1:
+                return
+            starts.append(t)
+            for d in range(1, remaining + 1):
+                lengths.append(d)
+                rights(left, s, c, k, t + d + 1, remaining - d, i, acc + d)
+                lengths.pop()
+            starts.pop()
+
     for m in range(n + 1):
-        rights = by_length[n - m]
-        for left in by_length[m]:
-            out.extend(
-                (left, right) for right in rights if is_parking_biprofile(left, right)
-            )
-    return out
+        for left in _profiles_of_length(m, top):
+            rights(left, *left, len(left[0]), 1, n - m, 0, 0)
+    return tuple(out)
 
 
 def c_map(p, n):
@@ -249,13 +273,6 @@ def c_inverse(comp):
             lengths.append(p - 1)
         acc += p
     return tuple(starts), tuple(lengths)
-
-
-def biprofile_to_compositions(left, right):
-    """Image of a parking biprofile under C: two compositions of
-    n = 1 + total length."""
-    n = 1 + sum(left[1]) + sum(right[1])
-    return c_map(left, n), c_map(right, n)
 
 
 def is_compatible(i_comp, j_comp) -> bool:

@@ -1,8 +1,12 @@
 """The cache registry: every memo of the package is a `cached` function,
-`clear_caches` empties them all, the shared series included, and a degree bound
-refuses a cache hit as it refuses a miss."""
+`clear_caches` empties them all, the shared series included, a degree bound
+refuses a cache hit as it refuses a miss, and importing the CLI fills none."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,8 +24,10 @@ MEMOS = {
     "nclag.hopf.delta_g_biprofiles": hopf.delta_g_biprofiles,
     "nclag.hopf.delta_g_noncrossing": hopf.delta_g_noncrossing,
     "nclag.incidence.lattice_oracle": incidence.lattice_oracle,
+    "nclag.incidence.multichain_count": incidence.multichain_count,
     "nclag.noncrossing._trees": noncrossing._trees,
     "nclag.parking.ndpf_count_of_type": parking.ndpf_count_of_type,
+    "nclag.parking._parking_biprofiles": parking._parking_biprofiles,
     "nclag.cli._shared_parser": cli._shared_parser,
 }
 
@@ -44,6 +50,22 @@ def test_registry_holds_every_memo():
         assert memo.cache_info().maxsize is None
 
 
+def test_importing_the_cli_fills_no_memo():
+    # a fresh interpreter, so that no earlier test has filled a memo: every
+    # table is built on its first call, never at import
+    script = (
+        "import json, nclag.cli, nclag.cache; "
+        "print(json.dumps({k: m.cache_info().currsize"
+        " for k, m in nclag.cache.REGISTRY.items()}))"
+    )
+    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == dict.fromkeys(MEMOS, 0)
+
+
 def _fill():
     out = []
     for n in range(6):
@@ -56,6 +78,8 @@ def _fill():
             hopf.delta_g_noncrossing(n),
             noncrossing.enumerate_trees(n),
             lagrange.s_generator_on_g(n),
+            parking.enumerate_parking_biprofiles(n),
+            incidence.multichain_count(n, 2),
         ]
         for i in comps.all_compositions(n):
             out.append(parking.ndpf_count_of_type(i))

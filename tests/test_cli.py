@@ -13,6 +13,8 @@ import pytest
 
 from nclag import algebra, cli, compositions as comps, hopf, lagrange, noncrossing, parking
 
+from test_parking import all_pairs_of_profiles, is_parking_biprofile
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -500,6 +502,33 @@ def test_json_biprofiles_format_no_text(capsys, monkeypatch):
     assert json.loads(out)["count"] == 14
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_biprofiles_output_equals_the_filter_of_all_pairs(capsys, monkeypatch, n):
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    pairs = [pair for pair in all_pairs_of_profiles(n) if is_parking_biprofile(*pair)]
+    images = [(parking.c_map(left, n + 1), parking.c_map(right, n + 1)) for left, right in pairs]
+    code, out, _ = run(capsys, "biprofiles", "--n", str(n))
+    assert code == 0
+    assert out.splitlines() == [
+        f"{left} {right} -> {comps.to_text(i)} | {comps.to_text(j)}"
+        for (left, right), (i, j) in zip(pairs, images)
+    ]
+    code, out, _ = run(capsys, "--json", "biprofiles", "--n", str(n))
+    assert code == 0
+    assert json.loads(out) == {
+        "n": n,
+        "count": len(pairs),
+        "items": [
+            {
+                "left": [list(left[0]), list(left[1])],
+                "right": [list(right[0]), list(right[1])],
+                "compositions": [list(i), list(j)],
+            }
+            for (left, right), (i, j) in zip(pairs, images)
+        ],
+    }
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
@@ -600,10 +629,10 @@ INT_OPTIONS_AT_A_BILLION = {
     (("enumerate",), "--k"): (["--what", "ndpf", "--n", "2"], 2),
     (("profile",), "--encode"): (["--word", "1"], 2),
     (("biprofiles",), "--n"): ([], 2),
-    (("incidence", "values"), "--power"): ([], 0),
+    (("incidence", "values"), "--power"): ([], 2),
     (("incidence", "values"), "--degree"): ([], 2),
     (("incidence", "multichains"), "--n"): (["--k", "2"], 2),
-    (("incidence", "multichains"), "--k"): (["--n", "3"], 0),
+    (("incidence", "multichains"), "--k"): (["--n", "3"], 2),
     # refused: the jumps must sum to the rank, n - 1
     (("incidence", "chains"), "--n"): (["--jumps", "111"], 2),
     (("incidence", "biane"), "--n"): (["--orders", "2"], 0),
@@ -659,6 +688,30 @@ def test_profile_encode_is_bounded_before_it_is_encoded(capsys, c_map_up_to_the_
     code, out, _ = run(capsys, "--json", "profile", "--word", "1", "--encode", "10000")
     assert code == 0
     assert sum(json.loads(out)["composition"]) == 10_000
+
+
+# the powers of `incidence`, each capped by the constant `cli._MAX_POWER`:
+# (the action, the option, the other options)
+POWER_OPTIONS = [
+    (("incidence", "values"), "--power", []),
+    (("incidence", "multichains"), "--k", ["--n", "6"]),
+]
+
+
+@pytest.mark.parametrize(
+    "path, option, rest", POWER_OPTIONS, ids=lambda v: "-".join(v) if isinstance(v, tuple) else v
+)
+def test_incidence_powers_are_bounded_up_front(capsys, monkeypatch, path, option, rest):
+    # raising NCLAG_MAX_DEGREE leaves the cap; 10**4000 ran past 60 s
+    # without the cap, and --k 10**600 failed converting its count to text
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", "1000")
+    code, out, _ = run(capsys, *path, option, str(cli._MAX_POWER), *rest)
+    assert code == 0
+    assert out.strip()
+    for k in (cli._MAX_POWER + 1, 10**600, 10**4000):
+        code, out, err = outcome(capsys, [*path, option, str(k), *rest])
+        assert (code, out) == (2, "")
+        assert f"error: {option} {k} exceeds {cli._MAX_POWER}" in err
 
 
 def test_incidence_values_alone_runs_on_its_defaults(capsys):

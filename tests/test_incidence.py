@@ -228,6 +228,8 @@ def test_lattice_multichains_need_positive_length():
 
 
 def test_multichain_count_rejects_non_integer(monkeypatch):
+    # a count memoized by an earlier call would be returned without a solve
+    inc.multichain_count.cache_clear()
     monkeypatch.setattr(inc, "g_values", lambda phi: [Fraction(1, 2)] * 4)
     with pytest.raises(ArithmeticError):
         inc.multichain_count(3, 2)

@@ -135,7 +135,7 @@ def test_profile_round_trip_on_minimal_words():
 
 def joint_profile(left, right):
     """Merge two profiles by start, left biletters winning ties (the
-    reference for the merge in `parking.is_parking_biprofile`)."""
+    reference for the merge in `is_parking_biprofile`)."""
     s, c = left
     t, d = right
     biletters = [(x, 0, y) for x, y in zip(s, c)] + [(x, 1, y) for x, y in zip(t, d)]
@@ -146,6 +146,43 @@ def joint_profile(left, right):
 def is_parking_joint_profile(left, right):
     xs, ys = joint_profile(left, right)
     return all(x <= sum(ys[:m]) + 1 for m, x in enumerate(xs))
+
+
+def is_parking_biprofile(left, right):
+    """Whether representatives u, v of the two profiles concatenate to a
+    parking function: in the joint profile, x_m <= y_1+...+y_{m-1}+1.
+
+    Both start tuples are strictly increasing, so one merge walks the joint
+    profile; it stops at the first biletter with x > acc + 1.  (The tie
+    rule does not change the answer: the second biletter of a tie follows
+    one that passed with the same x and a larger total.)
+    """
+    s, c = left
+    t, d = right
+    i = j = acc = 0
+    while i < len(s) or j < len(t):
+        if j == len(t) or (i < len(s) and s[i] <= t[j]):
+            x, y = s[i], c[i]
+            i += 1
+        else:
+            x, y = t[j], d[j]
+            j += 1
+        if x > acc + 1:
+            return False
+        acc += y
+    return True
+
+
+def all_pairs_of_profiles(n):
+    """Every pair of profiles with lengths summing to n, in the order of
+    `parking.enumerate_parking_biprofiles`."""
+    by_length = [parking._profiles_of_length(total, max(n, 1)) for total in range(n + 1)]
+    return (
+        (left, right)
+        for m in range(n + 1)
+        for left in by_length[m]
+        for right in by_length[n - m]
+    )
 
 
 def test_joint_profile_prefers_left_on_ties():
@@ -161,27 +198,37 @@ def test_biprofile_counts_are_catalan():
         assert len(parking.enumerate_parking_biprofiles(n)) == catalan(n + 1)
 
 
-def test_biprofiles_equal_the_joint_profile_filter_of_all_pairs():
+def test_the_merge_equals_the_joint_profile_test():
     for n in range(8):
-        candidates = [
-            (left, right)
-            for m in range(n + 1)
-            for left in parking._profiles_of_length(m, max(n, 1))
-            for right in parking._profiles_of_length(n - m, max(n, 1))
-        ]
-        want = [pair for pair in candidates if is_parking_joint_profile(*pair)]
-        assert parking.enumerate_parking_biprofiles(n) == want
+        for pair in all_pairs_of_profiles(n):
+            assert is_parking_biprofile(*pair) == is_parking_joint_profile(*pair), pair
+
+
+def test_biprofiles_equal_the_joint_profile_filter_of_all_pairs():
+    # the walk builds what filtering every pair finds, in the same order
+    for n in range(11):
+        want = [pair for pair in all_pairs_of_profiles(n) if is_parking_biprofile(*pair)]
+        assert parking.enumerate_parking_biprofiles(n) == want, n
+
+
+def test_biprofiles_are_a_fresh_list_of_the_memo():
+    first = parking.enumerate_parking_biprofiles(4)
+    want = list(first)
+    first.clear()
+    first.append(((), ()))
+    assert parking.enumerate_parking_biprofiles(4) == want
+    assert isinstance(parking._parking_biprofiles(4), tuple)
 
 
 def test_biprofile_merge_worked_values():
     # joint profile (1,1,4) with lengths (2,1,1): 4 <= 2 + 1 + 1
-    assert parking.is_parking_biprofile(((1,), (2,)), ((1, 4), (1, 1)))
+    assert is_parking_biprofile(((1,), (2,)), ((1, 4), (1, 1)))
     # a right biletter after the left tuple is spent: 5 > 2 + 1 + 1
-    assert not parking.is_parking_biprofile(((1,), (2,)), ((1, 5), (1, 1)))
+    assert not is_parking_biprofile(((1,), (2,)), ((1, 5), (1, 1)))
     # the right profile alone must start at 1
-    assert not parking.is_parking_biprofile(((), ()), ((2,), (1,)))
-    assert not parking.is_parking_biprofile(((), ()), ((1, 3), (1, 1)))
-    assert parking.is_parking_biprofile(((), ()), ((1, 3), (2, 1)))
+    assert not is_parking_biprofile(((), ()), ((2,), (1,)))
+    assert not is_parking_biprofile(((), ()), ((1, 3), (1, 1)))
+    assert is_parking_biprofile(((), ()), ((1, 3), (2, 1)))
 
 
 def test_type_count_table_equals_the_enumeration_tally():

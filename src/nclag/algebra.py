@@ -74,14 +74,15 @@ def _mul_into(acc, x_terms, y_terms, c=1):
     return acc
 
 
-def _legwise_mul_into(acc, x_terms, y_terms):
-    """acc += x * y, in place, for tensors whose product concatenates
+def _legwise_mul_into(acc, x_terms, y_terms, c=1):
+    """acc += c * x * y, in place, for tensors whose product concatenates
     indices leg by leg."""
     get = acc.get
     # every pair of terms in order, leg by leg: the concatenations of one
     # leg, the key tuples and the coefficients all come from C iterators
     legs = [starmap(add, product(a, b)) for a, b in zip(zip(*x_terms), zip(*y_terms))]
-    coeffs = starmap(mul, product(x_terms.values(), y_terms.values()))
+    xs = x_terms.values() if c == 1 else [c * a for a in x_terms.values()]
+    coeffs = starmap(mul, product(xs, y_terms.values()))
     for k, c in zip(zip(*legs), coeffs):
         acc[k] = get(k, 0) + c
     return acc

@@ -492,7 +492,8 @@ def _suite_coproduct(max_n):
         a = hopf.delta_g_algebraic(n)
         b = hopf.delta_g_biprofiles(n)
         c = hopf.delta_g_noncrossing(n)
-        yield f"coproduct routes agree, n={n}", a == b == c, {"n": n}
+        d = hopf.delta_g_trees(n)
+        yield f"coproduct routes agree, n={n}", a == b == c == d, {"n": n}
         yield f"cocommutative, n={n}", hopf.cocommutativity_check(a), {"n": n}
         yield f"coassociative, n={n}", hopf.coassociativity_check(n), {"n": n}
         yield (
@@ -501,7 +502,7 @@ def _suite_coproduct(max_n):
             {"n": n},
         )
         t = hopf.delta_g_commutative(c)
-        w = hopf.delta_g_commutative_via_trees(n)
+        w = hopf.delta_g_commutative(d)
         yield f"commutative tree series, n={n}", t == w, {"n": n}
     if max_n >= 5:
         a5 = hopf.delta_g_algebraic(5)

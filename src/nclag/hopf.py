@@ -1,6 +1,6 @@
 """Coproduct of the Lagrange series components on the G(x)G basis,
-computed by three independent routes, plus the word-level coproduct that
-justifies the biprofile route and the commutative two-alphabet check.
+computed by four routes, plus the word-level coproduct that justifies the
+biprofile route and the commutative image of a coproduct.
 """
 
 from __future__ import annotations
@@ -46,6 +46,40 @@ def delta_g_noncrossing(n) -> TensorElement:
     return TensorElement(("G", "G"), tally)
 
 
+def delta_g_trees(n) -> TensorElement:
+    """Coproduct of g_n from the coupled tree series on G(x)G,
+    Z = 1 + sum_m (G_m (x) 1) X^m and X = 1 + sum_m (1 (x) G_m) Z^m,
+    solved degree by degree through the engine of `lagrange`: Delta g_n is
+    [Z X]_n.  Cutting a noncrossing partition of n + 1 at the block of 1
+    gives the reading: Z_(s-1) tallies the partitions of s with 1 and s in
+    one block, X_(s-1) those in which {1} is a block."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    lagrange._check_bound(n)
+    gg = ("G", "G")
+    one = TensorElement.one(gg)
+    z, x = lagrange.GradedSeries([one]), lagrange.GradedSeries([one])
+
+    def component(generator, other, d):
+        # sum over m of generator(m) (other^m)_(d-m)
+        return lagrange._sum_of_products(
+            range(1, d + 1),
+            generator,
+            lambda m: other.power_component(m, d - m),
+            unit=one,
+            acc={},
+        )
+
+    for d in range(1, n + 1):
+        z_d = component(lambda m: TensorElement.monomial(gg, (m,), ()), x, d)
+        x_d = component(lambda m: TensorElement.monomial(gg, (), (m,)), z, d)
+        z.components.append(z_d)
+        x.components.append(x_d)
+    return lagrange._sum_of_products(
+        range(n + 1), z.component, lambda e: x.component(n - e), unit=one, acc={}
+    )
+
+
 def delta_g_monomial(index) -> TensorElement:
     """Coproduct of a G-basis monomial (multiplicative extension), with one
     coproduct per distinct part."""
@@ -54,6 +88,12 @@ def delta_g_monomial(index) -> TensorElement:
     for p in index:
         out = out * factors[p]
     return out
+
+
+def delta_g_commutative(t):
+    """Partition-level tally of a G(x)G coproduct such as
+    delta_g_noncrossing(n): both legs of every index sorted."""
+    return t.map_indices(lambda legs: [tuple(sorted(i, reverse=True)) for i in legs]).terms
 
 
 # ---------------------------------------------------------------------------
@@ -105,74 +145,6 @@ def biprofile_regrouping_check(n) -> bool:
                     profiles[x] = parking.profile(x)
             seen.add((profiles[u], profiles[v]))
     return seen == set(parking.enumerate_parking_biprofiles(n))
-
-
-# ---------------------------------------------------------------------------
-# Commutative two-alphabet route (generating series of trees by branch
-# edge counts)
-
-# monomials are pairs (sorted u-subscripts, sorted v-subscripts), both
-# weakly decreasing tuples of positive integers; coefficients count trees,
-# so sums accumulate in place with no zero to drop
-
-
-def _poly_mul_into(acc, a, b):
-    """acc += a * b, in place."""
-    for (ua, va), ca in a.items():
-        for (ub, vb), cb in b.items():
-            key = (
-                tuple(sorted(ua + ub, reverse=True)),
-                tuple(sorted(va + vb, reverse=True)),
-            )
-            acc[key] = acc.get(key, 0) + ca * cb
-    return acc
-
-
-def tree_series(N):
-    """Degreewise solution of the coupled branch series: one series for
-    trees with no right subtree at the root, one for no left subtree, and
-    their product counting all trees by branch edge multisets."""
-    one = {((), ()): 1}
-    U = [one]
-    V = [one]
-
-    def power_component(series, p, d):
-        # small degrees only, no memo needed
-        if p == 0:
-            return one if d == 0 else {}
-        out = {}
-        for e in range(d + 1):
-            if e >= len(series):
-                continue
-            _poly_mul_into(out, series[e], power_component(series, p - 1, d - e))
-        return out
-
-    for d in range(1, N + 1):
-        ud = {}
-        vd = {}
-        for m in range(1, d + 1):
-            _poly_mul_into(ud, power_component(V, m, d - m), {((m,), ()): 1})
-            _poly_mul_into(vd, power_component(U, m, d - m), {((), (m,)): 1})
-        U.append(ud)
-        V.append(vd)
-    W = []
-    for d in range(N + 1):
-        wd = {}
-        for e in range(d + 1):
-            _poly_mul_into(wd, U[e], V[d - e])
-        W.append(wd)
-    return W
-
-
-def delta_g_commutative(t):
-    """Partition-level tally of a G(x)G coproduct such as
-    delta_g_noncrossing(n): both legs of every index sorted."""
-    return t.map_indices(lambda legs: [tuple(sorted(i, reverse=True)) for i in legs]).terms
-
-
-def delta_g_commutative_via_trees(n):
-    """Same tally from the degree-n component of the tree series."""
-    return tree_series(n)[n]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,19 @@ of such series is their product in t.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 from . import lagrange, noncrossing
 from .algebra import NSymElement
 from .cache import cached
+
+
+def _fraction(*args):
+    """A Fraction, with `fractions` (and the `decimal` it loads) imported on
+    first use rather than by every import of the package."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 class MultiplicativeFunction:
@@ -29,7 +36,7 @@ class MultiplicativeFunction:
     __slots__ = ("hat",)
 
     def __init__(self, hat):
-        hat = [Fraction(x) for x in hat]
+        hat = [_fraction(x) for x in hat]
         if not hat or hat[0] != 1:
             raise ValueError("hat series must start with 1")
         self.hat = hat
@@ -106,7 +113,7 @@ def _in_t(c):
 
 
 def _t_coefficients(series):
-    return [Fraction(x.coeff((1,) * d)) for d, x in enumerate(series.components)]
+    return [_fraction(x.coeff((1,) * d)) for d, x in enumerate(series.components)]
 
 
 def g_values(phi):
@@ -120,7 +127,7 @@ def g_values(phi):
 
 def from_g_values(a) -> MultiplicativeFunction:
     """Recover the hat series from the generator values (inverse solve)."""
-    a = [Fraction(x) for x in a]
+    a = [_fraction(x) for x in a]
     if not a or a[0] != 1:
         raise ValueError("generator values must start with 1")
     series = lagrange.GradedSeries(_in_t(a))
@@ -154,7 +161,7 @@ def chain_count(n_plus_1, s) -> int:
     s = tuple(s)
     if any(x < 1 for x in s) or sum(s) != n:
         raise ValueError("rank jumps must be positive and sum to the rank")
-    v = Fraction(1, n + 1)
+    v = _fraction(1, n + 1)
     for x in s:
         v *= comb(n + 1, x)
     if v.denominator != 1:

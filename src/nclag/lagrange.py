@@ -21,7 +21,9 @@ lower-degree entries, not a convolution of X with X^(p-1).
 A given series is the case a_n = X_n, r = 0; the inverse series solves
 Y = 1 + sum_n (-X_n) Y; the inverse solve `coefficients_of` reads the a_n
 back off a series (the free cumulants off sigma, with r(n) = n); and the
-scalar series of `incidence` run on the same engine.
+scalar series of `incidence` run on the same engine.  The engine knows no
+basis: it multiplies by the concatenation product of its unit's class, so
+the coupled tree series of `hopf.delta_g_trees` run on it on G (x) G.
 """
 
 from __future__ import annotations
@@ -48,22 +50,29 @@ def _check_bound(n):
         )
 
 
-_ONE, _ZERO = NSymElement.one("S"), NSymElement.zero("S")
+_ONE = NSymElement.one("S")
 
 
 class GradedSeries:
-    """X = 1 + sum_n coeffs(n) X^rule(n), stored as its S-basis components
-    and the memoized components (X^p)_e of its powers (see the module
-    docstring); without `coeffs` and `rule`, the given series with
-    coeffs(n) = X_n and rule(n) = 0."""
+    """X = 1 + sum_n coeffs(n) X^rule(n), stored as its components and the
+    memoized components (X^p)_e of its powers (see the module docstring);
+    without `coeffs` and `rule`, the given series with coeffs(n) = X_n and
+    rule(n) = 0.  The components are elements of one class and basis whose
+    product concatenates indices, such as NSym on S or tensors on G (x) G,
+    and components[0] is the unit of that basis."""
 
     __slots__ = ("components", "_pw", "_coeffs", "_rule")
 
     def __init__(self, components, coeffs=None, rule=None):
         self.components = list(components)
-        if self.components[:1] != [_ONE]:
+        unit = self.components[0] if self.components else None
+        if unit is None or unit != type(unit).one(unit.basis):
             raise ValueError("constant term must be the unit")
+        legs = unit.basis if isinstance(unit.basis, tuple) else (unit.basis,)
+        if not algebra._MULTIPLICATIVE.issuperset(legs):
+            raise algebra.BasisMismatch(f"no concatenation product on {unit.basis!r}")
         for d, c in enumerate(self.components):
+            unit._check(c)
             if not c.is_homogeneous(d):
                 raise ValueError(f"component {d} is not homogeneous of degree {d}")
         self._pw = {}
@@ -85,10 +94,11 @@ class GradedSeries:
         """Degree-d component of the p-th power (memoized).  The powers of
         degree d are filled in one loop over p, so the recursion descends
         only in degree: its depth is at most d."""
+        unit = self.components[0]
         if d == 0:
-            return _ONE
+            return unit
         if p <= 1:
-            return self.component(d) if p else _ZERO
+            return self.component(d) if p else type(unit).zero(unit.basis)
         pw = self._pw
         if (p, d) not in pw:
             q = p - 1
@@ -106,6 +116,7 @@ class GradedSeries:
             range(1, e + 1),
             self._coeffs,
             lambda n: power(rule(n) + p - 1, e - n),
+            unit=self.components[0],
             acc=dict(prev),
         )
 
@@ -127,17 +138,19 @@ class GradedSeries:
         return "\n".join(lines)
 
 
-def _sum_of_products(indices, left, right, c=1, *, acc):
-    """acc + c * sum over e in indices of left(e) * right(e) on the S basis,
-    accumulated into `acc`, a fresh dict of the caller's, which the result
-    then owns; right(e) is only computed where left(e) is nonzero."""
+def _sum_of_products(indices, left, right, c=1, *, unit, acc):
+    """acc + c * sum over e in indices of left(e) * right(e), in the class
+    and basis of `unit` and by its concatenation product, accumulated into
+    `acc`, a fresh dict of the caller's, which the result then owns;
+    right(e) is only computed where left(e) is nonzero."""
+    cls = type(unit)
     for e in indices:
         x = left(e)
         if x.terms:
             y = right(e)
             if y.terms:
-                algebra._mul_into(acc, x.terms, y.terms, c)
-    return NSymElement._adopt("S", acc)
+                cls._concat_into(acc, x.terms, y.terms, c)
+    return cls._adopt(unit.basis, acc)
 
 
 def solve_functional_equation(coeffs, power_rule, N) -> GradedSeries:
@@ -157,7 +170,7 @@ def solve_functional_equation(coeffs, power_rule, N) -> GradedSeries:
 def coefficients_of(series, rule, N) -> GradedSeries:
     """The inverse solve: the a_n, n <= N, with series = 1 + sum_n a_n
     series^rule(n), from a_d = X_d - sum_{n<d} a_n (X^rule(n))_(d-n)."""
-    a = [_ONE]
+    a = [series.component(0)]
     for d in range(1, N + 1):
         a.append(
             _sum_of_products(
@@ -165,6 +178,7 @@ def coefficients_of(series, rule, N) -> GradedSeries:
                 a.__getitem__,
                 lambda n: series.power_component(rule(n), d - n),
                 c=-1,
+                unit=series.component(0),
                 acc=dict(series.component(d).terms),
             )
         )
@@ -290,6 +304,7 @@ def gamma_check(N) -> bool:
             range(1, d + 1),
             _s_generator,
             lambda n: neg.power_component(n, d - n),
+            unit=_ONE,
             acc={} if d else {(): 1},
         )
         if left.component(d) != right:

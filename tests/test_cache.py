@@ -1,6 +1,7 @@
 """The cache registry: every memo of the package is a `cached` function,
 `clear_caches` empties them all, the shared series included, a degree bound
-refuses a cache hit as it refuses a miss, and importing the CLI fills none."""
+refuses a cache hit as it refuses a miss, and importing the CLI fills none
+and loads no `fractions`."""
 
 import json
 import os
@@ -50,20 +51,35 @@ def test_registry_holds_every_memo():
         assert memo.cache_info().maxsize is None
 
 
-def test_importing_the_cli_fills_no_memo():
-    # a fresh interpreter, so that no earlier test has filled a memo: every
-    # table is built on its first call, never at import
-    script = (
-        "import json, nclag.cli, nclag.cache; "
-        "print(json.dumps({k: m.cache_info().currsize"
-        " for k, m in nclag.cache.REGISTRY.items()}))"
-    )
+def _in_a_fresh_interpreter(script):
+    """The JSON that `script` prints in a fresh interpreter, where no earlier
+    test has filled a memo or imported a module."""
     path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert json.loads(done.stdout) == dict.fromkeys(MEMOS, 0)
+    return json.loads(done.stdout)
+
+
+def test_importing_the_cli_fills_no_memo():
+    # every table is built on its first call, never at import
+    script = (
+        "import json, nclag.cli, nclag.cache; "
+        "print(json.dumps({k: m.cache_info().currsize"
+        " for k, m in nclag.cache.REGISTRY.items()}))"
+    )
+    assert _in_a_fresh_interpreter(script) == dict.fromkeys(MEMOS, 0)
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # incidence imports fractions (and the decimal it loads) on first use,
+    # so start-up does not pay for them
+    script = (
+        "import json, sys, nclag.cli; "
+        "print(json.dumps(sorted({'fractions', 'decimal'} & set(sys.modules))))"
+    )
+    assert _in_a_fresh_interpreter(script) == []
 
 
 def _fill():

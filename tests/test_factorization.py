@@ -110,6 +110,13 @@ def test_run_table_equals_a_two_walk_count(length):
     assert sum(reference.values()) == math.comb(2 * length, length) // (length + 1)
 
 
+def test_run_table_equals_the_tree_route():
+    # both sides of the factorization family against a coproduct route that
+    # reads neither _run_table nor delta_g_algebraic
+    for p in range(8):
+        assert fz._run_table(p + 1) == hopf.delta_g_trees(p), p
+
+
 def test_one_walk_tally_equals_the_per_left_type_tally():
     # reference: one restricted candidate search per left type J
     for i in _small_indices():

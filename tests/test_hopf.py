@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -140,7 +141,7 @@ def test_multiplicity_free_term_counts():
 def test_commutative_image_two_routes():
     for n in range(6):
         t = hopf.delta_g_noncrossing(n)
-        assert hopf.delta_g_commutative(t) == hopf.delta_g_commutative_via_trees(n)
+        assert hopf.delta_g_commutative(t) == hopf.delta_g_commutative(hopf.delta_g_trees(n))
 
 
 def test_tree_weight_of_worked_example():
@@ -154,13 +155,40 @@ def test_tree_weights_tally_to_series():
         for t in nc.enumerate_trees(n + 1):
             key = tree_weight(t)
             tally[key] = tally.get(key, 0) + 1
-        assert tally == hopf.delta_g_commutative_via_trees(n)
+        assert tally == hopf.delta_g_commutative(hopf.delta_g_trees(n))
 
 
 def test_every_route_rejects_a_negative_degree():
-    for route in (hopf.delta_g_algebraic, hopf.delta_g_biprofiles, hopf.delta_g_noncrossing):
+    routes = (
+        hopf.delta_g_algebraic,
+        hopf.delta_g_biprofiles,
+        hopf.delta_g_noncrossing,
+        hopf.delta_g_trees,
+    )
+    for route in routes:
         with pytest.raises(ValueError, match="nonnegative"):
             route(-1)
+
+
+def test_tree_route_equals_the_algebraic_route():
+    for n in range(11):
+        assert hopf.delta_g_trees(n) == hopf.delta_g_algebraic(n), n
+
+
+def test_tree_route_at_degree_14_matches_the_pinned_algebraic_terms(monkeypatch):
+    # sha1 of the sorted terms of delta_g_algebraic(14), which takes several
+    # times as long as the tree route
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", "14")
+    t = hopf.delta_g_trees(14)
+    assert len(t.terms) == 25032
+    digest = hashlib.sha1(repr(sorted(t.terms.items())).encode()).hexdigest()
+    assert digest == "34291da7cae7fd7053c7e71b1f5e87ee5737753d"
+
+
+def test_tree_route_is_bounded(monkeypatch):
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    with pytest.raises(ValueError, match="NCLAG_MAX_DEGREE"):
+        hopf.delta_g_trees(11)
 
 
 def test_two_leg_format_is_pinned():

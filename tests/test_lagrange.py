@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from nclag import algebra, compositions as comps, lagrange, parking
-from nclag.algebra import NSymElement
+from nclag.algebra import BasisMismatch, NSymElement, TensorElement
 
 
 def transition_matrix(source, target, n):
@@ -146,6 +146,16 @@ def test_a_series_starts_with_the_unit():
     for start in ([], [NSymElement.zero("S")], [NSymElement.monomial("S", (), 2)]):
         with pytest.raises(ValueError, match="unit"):
             lagrange.GradedSeries(start)
+
+
+def test_a_series_lives_in_one_basis_whose_product_concatenates():
+    # the engine multiplies by concatenation, which is the product on S,
+    # L and G (leg by leg on tensors) and on no other basis
+    for unit in (NSymElement.one("R"), TensorElement.one(("G", "F"))):
+        with pytest.raises(BasisMismatch, match="concatenation"):
+            lagrange.GradedSeries([unit])
+    with pytest.raises(BasisMismatch, match="share a basis"):
+        lagrange.GradedSeries([NSymElement.one("S"), NSymElement.monomial("G", (1,))])
 
 
 def test_negative_degree_is_rejected():

@@ -13,7 +13,10 @@ public API, or move into the test that uses it.
 A third refuses a public alias, a module-level ``name = fn`` that gives a
 function of the package a second public name.
 
-A fourth keeps one product rule: exactly one class defines ``__mul__``."""
+A fourth keeps one product rule: exactly one class defines ``__mul__``.
+
+A fifth keeps one degreewise solver: exactly one function is named
+``power_component``."""
 
 import ast
 import io
@@ -141,3 +144,17 @@ def test_one_class_defines_the_product():
         and any(isinstance(f, ast.FunctionDef) and f.name == "__mul__" for f in node.body)
     ]
     assert len(owners) == 1, "classes defining __mul__: " + ", ".join(owners)
+
+
+def test_one_function_computes_power_components():
+    """Every degreewise series reads its powers from one engine,
+    `GradedSeries.power_component`; a solver with a power loop of its own
+    forks it."""
+    owners = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "power_component"
+    ]
+    assert len(owners) == 1, "functions named power_component: " + ", ".join(owners)

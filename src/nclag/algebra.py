@@ -696,13 +696,6 @@ def phi_k(x: NSymElement, k: int) -> NSymElement:
     return NSymElement("S", terms)
 
 
-def mirror_invariance_check(n: int) -> bool:
-    """Whether the S-expansion of g_n is invariant under the conjugation of
-    its indices, the invariance claimed for g."""
-    gn = _lagrange().g_component(n)
-    return gn == gn.map_indices(comps.conjugate)
-
-
 def element_from_json_dict(data):
     cls = {"nsym": NSymElement, "qsym": QSymElement, "tensor": TensorElement}.get(data["side"])
     if cls is None:

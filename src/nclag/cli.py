@@ -23,6 +23,7 @@ from . import (
     lagrange,
     noncrossing,
     parking,
+    verify,
 )
 from .cache import cached
 
@@ -425,241 +426,7 @@ def cmd_incidence(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-
-
-def _suite_lagrange(max_n):
-    for n in range(max_n + 1):
-        yield f"g expansion counts ndpf types, n={n}", lagrange.k_parking_check(n, 1), {"n": n}
-    for k in (2, 3):
-        for n in range(min(max_n, 4) + 1):
-            a = lagrange.gk_component(k, n)
-            b = lagrange.gk_component_iterative(k, n)
-            c = lagrange.gk_component_via_phi(k, n)
-            yield f"k-analogue routes agree, k={k} n={n}", a == b == c, {"k": k, "n": n}
-            yield f"k-parking expansion, k={k} n={n}", lagrange.k_parking_check(n, k), {"k": k, "n": n}
-    yield "free cumulant functional equation", lagrange.free_cumulant_check(max_n), {"N": max_n}
-    for n in range(1, max_n + 1):
-        yield f"cumulant reciprocity, n={n}", lagrange.cumulant_reciprocity_check(n), {"n": n}
-    yield "inverse series fixed point", lagrange.gamma_check(max_n), {"N": max_n}
-
-
-def _suite_bases(max_n):
-    for n in range(max_n + 1):
-        for basis in ("L", "R", "G", "F", "E", "V", "C"):
-            if basis in algebra.NSYM_BASES:
-                home, side = "S", algebra.NSymElement
-            else:
-                home, side = "M", algebra.QSymElement
-            ok = all(
-                algebra.convert(algebra.convert(x, basis), home) == x
-                for x in (side.monomial(home, i) for i in comps.all_compositions(n))
-            )
-            yield f"{home}<->{basis} round trip, n={n}", ok, {"n": n, "basis": basis}
-    for n in range(1, min(max_n, 5) + 1):
-        yield (
-            f"conjugate reading fixes g, n={n}",
-            algebra.mirror_invariance_check(n),
-            {"n": n},
-        )
-    for n in range(1, max_n + 1):
-        a = lagrange.s_generator_on_g(n)
-        b = lagrange.s_to_g_via_recipe(n)
-        yield f"generator on G via recipe, n={n}", a == b, {"n": n}
-
-
-def _suite_negation(max_n):
-    for n in range(max_n + 1):
-        a = lagrange.g_neg(n)
-        b = lagrange.g_neg_via_pairing(n)
-        c = lagrange.g_neg_via_counting(n)
-        d = lagrange.g_neg_via_doubling(n)
-        yield f"negated alphabet routes agree, n={n}", a == b == c == d, {"n": n}
-        yield f"negated S-coefficients, n={n}", lagrange.g_neg_s_coefficient_check(n), {"n": n}
-
-
-def _suite_antipode(max_n):
-    for n in range(max_n + 1):
-        a = lagrange.antipode_g(n)
-        b = lagrange.antipode_g_four_step(n)
-        c = lagrange.antipode_g_formula(n)
-        yield f"antipode routes agree, n={n}", a == b == c, {"n": n}
-
-
-def _suite_coproduct(max_n):
-    for n in range(max_n + 1):
-        a = hopf.delta_g_algebraic(n)
-        b = hopf.delta_g_biprofiles(n)
-        c = hopf.delta_g_noncrossing(n)
-        d = hopf.delta_g_trees(n)
-        yield f"coproduct routes agree, n={n}", a == b == c == d, {"n": n}
-        yield f"cocommutative, n={n}", hopf.cocommutativity_check(a), {"n": n}
-        yield f"coassociative, n={n}", hopf.coassociativity_check(n), {"n": n}
-        yield (
-            f"biprofile regrouping, n={n}",
-            hopf.biprofile_regrouping_check(n),
-            {"n": n},
-        )
-        t = hopf.delta_g_commutative(c)
-        w = hopf.delta_g_commutative(d)
-        yield f"commutative tree series, n={n}", t == w, {"n": n}
-    if max_n >= 5:
-        a5 = hopf.delta_g_algebraic(5)
-        yield "coefficient 7 at (1,2)|(1,1)", a5.coeff((1, 2), (1, 1)) == 7, {"n": 5}
-        yield "coefficient 11 at (2,1)|(1,1)", a5.coeff((2, 1), (1, 1)) == 11, {"n": 5}
-
-
-def _suite_trees(max_n):
-    for n in range(1, max_n + 1):
-        trees = noncrossing.enumerate_trees(n)
-        images = [noncrossing.tau(t) for t in trees]
-        yield f"tau injective, n={n}", len(set(images)) == len(trees), {"n": n}
-        ok = all(noncrossing.rebuild_tree(*ij) == t for ij, t in zip(images, trees))
-        yield f"rebuild round trip, n={n}", ok, {"n": n}
-    for n in range(1, min(max_n, 7) + 1):
-        ok = all(
-            noncrossing.infix_successor(t, i) == i % n + 1
-            for t in noncrossing.enumerate_trees(n)
-            for i in range(1, n + 1)
-        )
-        yield f"infix successor rule, n={n}", ok, {"n": n}
-
-
-def _suite_kreweras(max_n):
-    for n in range(1, max_n + 1):
-        ok = True
-        for p in noncrossing.enumerate_nc(n):
-            k = noncrossing.kreweras(p)
-            if len(p.blocks) + len(k.blocks) != n + 1:
-                ok = False
-        yield f"block count complement, n={n}", ok, {"n": n}
-    for n in range(1, min(max_n, 7) + 1):
-        # tree_phi raises ArithmeticError unless the right branches are the
-        # Kreweras complement of the left ones, which `_cases` reports
-        for t in noncrossing.enumerate_trees(n):
-            noncrossing.tree_phi(t)
-        yield f"tree partitions are complements, n={n}", True, {"n": n}
-
-
-def _suite_appendix(max_n):
-    for n in range(1, max_n + 1):
-        pairs = parking.enumerate_compatible_pairs(n)
-        cat = math.comb(2 * n, n) // (n + 1)
-        yield f"compatible pair count Catalan, n={n}", len(pairs) == cat, {"n": n}
-        ok = True
-        seen = set()
-        for i, j in pairs:
-            w = parking.dumb_bijection(i, j)
-            if parking.dumb_bijection_inverse(w) != (i, j):
-                ok = False
-            seen.add(w)
-        yield f"direct bijection round trip, n={n}", ok, {"n": n}
-        yield (
-            f"direct bijection onto ndpf, n={n}",
-            seen == set(parking.enumerate_ndpf(n)),
-            {"n": n},
-        )
-    for n in range(1, min(max_n, 10) + 1):
-        ok = True
-        for w in noncrossing.enumerate_s_words(n):
-            w2 = noncrossing.s_to_sprime(w)
-            if noncrossing.sprime_to_s(w2) != w:
-                ok = False
-            if noncrossing.path_to_word(noncrossing.word_to_path(w2)) != w2:
-                ok = False
-        yield f"Motzkin codec round trip, n={n}", ok, {"n": n}
-    for n in range(1, min(max_n, 12) + 1):
-        total = sum(
-            2 ** (n - 2 * k) * math.comb(n, 2 * k) * (math.comb(2 * k, k) // (k + 1))
-            for k in range(n // 2 + 1)
-        )
-        cat = math.comb(2 * (n + 1), n + 1) // (n + 2)
-        yield f"Touchard identity, n={n}", total == cat, {"n": n}
-
-
-def _suite_factorization(max_n):
-    for n in range(1, max_n + 1):
-        for i in comps.all_compositions(n):
-            if comps.weight(i) + len(i) > 8:
-                continue
-            bad = factorization.coproduct_mismatch(i)
-            witness = {"index": list(i)}
-            if bad is not None:
-                j, k, count, coeff = bad
-                witness.update(
-                    left=list(j), right=list(k), factorizations=count, coefficient=coeff
-                )
-            yield (
-                f"factorization counts match coproduct, I={comps.to_text(i)}",
-                bad is None,
-                witness,
-            )
-
-
-def _suite_incidence(max_n):
-    import itertools
-
-    N = min(max_n, 6)
-    gm = incidence.g_values(incidence.mobius(N))
-    for n in range(N + 1):
-        cat = math.comb(2 * n, n) // (n + 1)
-        yield (
-            f"Moebius values signed Catalan, n={n}",
-            gm[n] == (-1) ** n * cat,
-            {"n": n},
-        )
-    for n in range(2, N + 2):
-        lat = incidence.lattice_oracle(n)
-        cat = math.comb(2 * (n - 1), n - 1) // n
-        yield (
-            f"lattice Moebius recursion, n={n}",
-            lat.mobius(lat.bottom, lat.top) == (-1) ** (n - 1) * cat,
-            {"n": n},
-        )
-    for k in (1, 2, 3):
-        gv = incidence.g_values(incidence.zeta_power(k, N))
-        ok = all(gv[n] == incidence.zeta_power_value(k, n) for n in range(N + 1))
-        yield f"zeta power closed form, k={k}", ok, {"k": k}
-    for n in range(1, min(max_n, 4) + 1):
-        lat = incidence.lattice_oracle(n + 1)
-        for k in (1, 2, 3):
-            yield (
-                f"multichain count vs oracle, n={n} k={k}",
-                lat.count_multichains(k) == incidence.multichain_count(n, k),
-                {"n": n, "k": k},
-            )
-    for m in range(2, min(max_n + 1, 6) + 1):
-        lat = incidence.lattice_oracle(m)
-        ok = True
-        for r in range(1, m):
-            for s in itertools.product(range(1, m), repeat=r):
-                if sum(s) == m - 1 and lat.count_chains(s) != incidence.chain_count(m, s):
-                    ok = False
-        yield f"Edelman chain counts, n+1={m}", ok, {"m": m}
-
-
-SUITES = {
-    "lagrange": _suite_lagrange,
-    "bases": _suite_bases,
-    "negation": _suite_negation,
-    "antipode": _suite_antipode,
-    "coproduct": _suite_coproduct,
-    "trees": _suite_trees,
-    "kreweras": _suite_kreweras,
-    "appendix": _suite_appendix,
-    "factorization": _suite_factorization,
-    "incidence": _suite_incidence,
-}
-
-
-def _cases(suite, max_n):
-    """A suite's cases; a failed internal check (an ArithmeticError of
-    `kreweras`, `tree_phi` or `multichain_count`) ends it as a failed case."""
-    try:
-        yield from suite(max_n)
-    except ArithmeticError as e:
-        yield "internal invariant holds", False, {"error": str(e)}
+SUITES = verify.SUITES  # verify's own dict; cmd_verify reads this name per call
 
 
 def cmd_verify(args):
@@ -673,7 +440,7 @@ def cmd_verify(args):
         t0 = last = time.monotonic()
         cases = []
         # a case's time runs from the previous yield (or the suite's start)
-        for label, ok, witness in _cases(SUITES[name], args.max_n):
+        for label, ok, witness in verify.cases(SUITES[name], args.max_n):
             now = time.monotonic()
             cases.append(
                 {
@@ -695,7 +462,7 @@ def cmd_verify(args):
             }
         )
     if args.json:
-        print(json.dumps({"reports": reports, "failed": failed}, sort_keys=True))
+        print(json.dumps({"reports": reports, "failed": failed}, sort_keys=True, default=str))
     else:
         for rep in reports:
             print(f"suite {rep['suite']} (max n {rep['max_n']}, {rep['seconds']}s)")

@@ -1,5 +1,5 @@
-"""Minimal factorizations of canonical permutations and their match with
-the tensor coefficients of the coproduct on the G basis.
+"""Minimal factorizations of canonical permutations, tallied as tensors on
+the G basis whose coefficients match those of the coproduct.
 
 Permutations are one-line lists over 1..m.  Transposition length is
 m minus the number of cycles; a factorization sigma = alpha * beta is
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import algebra, compositions as comps, hopf, noncrossing
+from . import algebra, compositions as comps, noncrossing
 
 
 def canonical_permutation(i_comp):
@@ -201,21 +201,6 @@ def factorization_tally(i_comp) -> algebra.TensorElement:
     return tally
 
 
-def coproduct_mismatch(i_comp):
-    """The first (J, K) in sorted order where the factorization count of
-    the canonical permutation of type I differs from the coefficient of
-    G^J (x) G^K in the coproduct of G^I, as (J, K, count, coefficient);
-    None when they all agree."""
-    i_comp = tuple(i_comp)
-    tally = factorization_tally(i_comp)
-    coproduct = hopf.delta_g_monomial(i_comp)
-    if tally == coproduct:
-        return None
-    counts, coeffs = tally.terms, coproduct.terms
-    j, k = min(key for key, _ in counts.items() ^ coeffs.items())
-    return j, k, counts.get((j, k), 0), coeffs.get((j, k), 0)
-
-
 def partition_tally(sigma):
     """Factorization counts of sigma grouped by unordered (partition)
     reduced cycle types of the two factors."""
@@ -237,21 +222,3 @@ def partition_tally(sigma):
         tally[key] = tally.get(key, 0) + 1
     return tally
 
-
-def representative_independence_check(i_comp, other_sigma) -> bool:
-    """Partition-level tallies must not depend on which permutation of the
-    given cycle type is factorized."""
-    sigma = canonical_permutation(i_comp)
-    want = tuple(sorted(ordered_cycle_type(sigma)))
-    got = tuple(
-        sorted(
-            sorted(len(c) for c in noncrossing.cycles_of(other_sigma))
-            + [1] * (len(sigma) - len(other_sigma))
-        )
-    )
-    if want != got:
-        raise ValueError("representative has a different cycle type")
-    base = partition_tally(sigma)
-    pad = len(sigma) - len(other_sigma)
-    other = partition_tally(list(other_sigma) + [len(other_sigma) + 1 + k for k in range(pad)])
-    return base == other

@@ -52,31 +52,32 @@ def delta_g_trees(n) -> TensorElement:
     solved degree by degree through the engine of `lagrange`: Delta g_n is
     [Z X]_n.  Cutting a noncrossing partition of n + 1 at the block of 1
     gives the reading: Z_(s-1) tallies the partitions of s with 1 and s in
-    one block, X_(s-1) those in which {1} is a block."""
+    one block, X_(s-1) those in which {1} is a block.  The system is
+    symmetric under swapping the legs and its solution is unique, so X is
+    Z with its legs swapped, and only Z's powers are kept."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     lagrange._check_bound(n)
     gg = ("G", "G")
     one = TensorElement.one(gg)
-    z, x = lagrange.GradedSeries([one]), lagrange.GradedSeries([one])
+    z = lagrange.GradedSeries([one])
 
-    def component(generator, other, d):
-        # sum over m of generator(m) (other^m)_(d-m)
-        return lagrange._sum_of_products(
-            range(1, d + 1),
-            generator,
-            lambda m: other.power_component(m, d - m),
-            unit=one,
-            acc={},
-        )
+    def x_power(m, e):
+        # (X^m)_e: (Z^m)_e with its legs swapped
+        return z.power_component(m, e).permute((1, 0))
 
     for d in range(1, n + 1):
-        z_d = component(lambda m: TensorElement.monomial(gg, (m,), ()), x, d)
-        x_d = component(lambda m: TensorElement.monomial(gg, (), (m,)), z, d)
-        z.components.append(z_d)
-        x.components.append(x_d)
+        z.components.append(
+            lagrange._sum_of_products(
+                range(1, d + 1),
+                lambda m: TensorElement.monomial(gg, (m,), ()),
+                lambda m: x_power(m, d - m),
+                unit=one,
+                acc={},
+            )
+        )
     return lagrange._sum_of_products(
-        range(n + 1), z.component, lambda e: x.component(n - e), unit=one, acc={}
+        range(n + 1), z.component, lambda e: x_power(1, n - e), unit=one, acc={}
     )
 
 
@@ -132,10 +133,10 @@ def coproduct_P(pi):
     return dict(tally)
 
 
-def biprofile_regrouping_check(n) -> bool:
-    """Collecting the multiplicity-free splits of every index word by
-    biprofile must yield each parking biprofile exactly once per class
-    representative count, and the class set matches the enumeration."""
+def split_biprofiles(n) -> set:
+    """The set of biprofiles (profile of u, profile of v) of the
+    multiplicity-free splits (u, v) of every index word of size n: the
+    splits regrouped by biprofile give exactly the parking biprofiles."""
     seen = set()
     profiles = {}  # at n = 10: 8.06M lookups of 58,786 distinct words
     for pi in parking.enumerate_ndpf(n):
@@ -144,21 +145,4 @@ def biprofile_regrouping_check(n) -> bool:
                 if x not in profiles:
                     profiles[x] = parking.profile(x)
             seen.add((profiles[u], profiles[v]))
-    return seen == set(parking.enumerate_parking_biprofiles(n))
-
-
-# ---------------------------------------------------------------------------
-# Structural checks
-
-
-def cocommutativity_check(t) -> bool:
-    """Whether a two-leg tensor such as Delta g_n is fixed by swapping its
-    legs."""
-    return t.permute((1, 0)) == t
-
-
-def coassociativity_check(n) -> bool:
-    """(Delta x id) Delta = (id x Delta) Delta on g_n, compared on the S-basis
-    three-leg tensors."""
-    t = s_coproduct(lagrange.g_component(n))
-    return t.split_leg(0) == t.split_leg(1)
+    return seen

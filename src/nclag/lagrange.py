@@ -252,10 +252,11 @@ def gk_component_via_phi(k, n) -> NSymElement:
     return NSymElement("S", terms)
 
 
-def k_parking_check(n, k) -> bool:
-    """Compare the k-analogue component against the k-NDPF type tally."""
+def gk_component_via_ndpf(k, n) -> NSymElement:
+    """Same component as the tally of the nondecreasing k-parking functions
+    of length n by their types."""
     tally = Counter(parking.type_of(w) for w in parking.enumerate_k_ndpf(n, k))
-    return NSymElement("S", tally) == gk_component(k, n)
+    return NSymElement("S", tally)
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +284,20 @@ def _neg_g_series(N) -> GradedSeries:
     return GradedSeries([algebra.neg_alphabet(g_component(d)) for d in range(N + 1)])
 
 
-def free_cumulant_check(N) -> bool:
-    """The cumulant series must invert the negated-alphabet g series."""
-    return series_inverse(_neg_g_series(N)).components == free_cumulants(N).components
-
-
-def cumulant_reciprocity_check(n) -> bool:
-    """K_n on S carries the same coefficients as S_n on the G basis."""
-    kn = free_cumulants(n).component(n)
-    sn = s_generator_on_g(n)
-    return kn.terms == sn.terms
-
-
-def gamma_check(N) -> bool:
-    """inverse(g(-A)) = sum_n S_n g(-A)^n, degree by degree."""
+def neg_g_inverse_fixed_point(N) -> list:
+    """The components up to N of sum_n S_n g(-A)^n, which is the inverse of
+    g(-A) (and the free cumulant series) by the fixed point."""
     neg = _neg_g_series(N)
-    left = series_inverse(neg)
-    for d in range(N + 1):
-        right = _sum_of_products(
+    return [
+        _sum_of_products(
             range(1, d + 1),
             _s_generator,
             lambda n: neg.power_component(n, d - n),
             unit=_ONE,
             acc={} if d else {(): 1},
         )
-        if left.component(d) != right:
-            return False
-    return True
+        for d in range(N + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +373,13 @@ def g_neg_via_doubling(n) -> NSymElement:
     return algebra.tilde(gk_component(2, n)).scale((-1) ** n)
 
 
-def g_neg_s_coefficient_check(n) -> bool:
-    """On the S basis, the negated coefficients come from shifting every part
+def g_neg_s_via_counting(n) -> NSymElement:
+    """g_n at the negated alphabet on the S basis, from shifting every part
     up by one: lambda_I = (-1)^{l(I)} delta_{I + 1^r}."""
-    neg = algebra.neg_alphabet(g_component(n))
+    terms = {}
     for i in comps.all_compositions(n):
-        expected = (-1) ** len(i) * parking.ndpf_count_of_type(comps.plus_ones(i))
-        if neg.coeff(i) != expected:
-            return False
-    return True
+        terms[i] = (-1) ** len(i) * parking.ndpf_count_of_type(comps.plus_ones(i))
+    return NSymElement("S", terms)
 
 
 # ---------------------------------------------------------------------------

@@ -457,11 +457,58 @@ def test_factorization_failure_names_the_first_differing_pair(capsys, monkeypatc
     assert bad["case"] == "factorization counts match coproduct, I=21"
     assert bad["witness"] == {
         "index": [2, 1],
-        "left": list(first[0]),
-        "right": list(first[1]),
-        "factorizations": count,
-        "coefficient": count + 2,
+        "routes": ["factorization_tally", "delta_g_monomial"],
+        "term": [list(first[0]), list(first[1])],
+        "values": [count, count + 2],
     }
+
+
+# One row per family with two or more routes: the route corrupted, the
+# arguments at which it gains one monomial, the suite and the route that
+# comes first in its case, and that case's label.
+CORRUPTED_ROUTES = [
+    (lagrange, "gk_component_via_phi", (2, 3), "lagrange", "gk_component",
+     "k-analogue routes agree, k=2 n=3"),
+    (lagrange, "gk_component_via_ndpf", (1, 3), "lagrange", "g_component",
+     "g expansion counts ndpf types, n=3"),
+    (lagrange, "s_to_g_via_recipe", (3,), "bases", "s_generator_on_g",
+     "generator on G via recipe, n=3"),
+    (lagrange, "g_neg_via_counting", (3,), "negation", "g_neg",
+     "negated alphabet routes agree, n=3"),
+    (lagrange, "antipode_g_formula", (3,), "antipode", "antipode_g", "antipode routes agree, n=3"),
+    (hopf, "delta_g_trees", (3,), "coproduct", "delta_g_algebraic", "coproduct routes agree, n=3"),
+    (hopf, "delta_g_monomial", ((2, 1),), "factorization", "factorization_tally",
+     "factorization counts match coproduct, I=21"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, route, args, suite, first, label",
+    CORRUPTED_ROUTES,
+    ids=[row[1] for row in CORRUPTED_ROUTES],
+)
+def test_a_corrupted_route_is_named_with_its_first_differing_term(
+    capsys, monkeypatch, module, route, args, suite, first, label
+):
+    true = getattr(module, route)
+    terms = true(*args).terms
+    key = max(terms)
+    bumped = {**terms, key: terms[key] + 1}
+
+    def corrupted(*a):
+        x = true(*a)
+        return type(x)(x.basis, bumped) if a == args else x
+
+    monkeypatch.setattr(module, route, corrupted)
+    code, out, _ = run(capsys, "--json", "verify", "--suite", suite, "--max-n", "3")
+    assert code == 1
+    data = json.loads(out)
+    assert data["failed"] == 1
+    (bad,) = [c for r in data["reports"] for c in r["cases"] if not c["ok"]]
+    assert bad["case"] == label
+    assert bad["witness"]["routes"] == [first, route]
+    assert bad["witness"]["term"] == json.loads(json.dumps(key))
+    assert bad["witness"]["values"] == [terms[key], terms[key] + 1]
 
 
 @pytest.mark.parametrize(

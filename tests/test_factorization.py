@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from nclag import algebra, compositions as comps, factorization as fz, hopf, noncrossing
+from nclag import algebra, compositions as comps, factorization as fz, hopf, noncrossing, verify
 
 
 def test_canonical_permutation_cycles():
@@ -59,7 +59,7 @@ def _small_indices():
 
 def test_counts_match_coproduct_coefficients():
     for i in _small_indices():
-        assert fz.coproduct_mismatch(i) is None, i
+        assert fz.factorization_tally(i) == hopf.delta_g_monomial(i), i
 
 
 def _full_product_tally(i):
@@ -147,8 +147,9 @@ def test_a_corrupted_coproduct_fails_the_match(monkeypatch, mutant):
         "delta_g_monomial",
         lambda index: algebra.TensorElement(("G", "G"), terms) if index == i else true(index),
     )
-    assert fz.coproduct_mismatch(i) is not None
-    assert fz.coproduct_mismatch((1, 2)) is None
+    passed = {label: ok for label, ok, _ in verify.SUITES["factorization"](3)}
+    assert not passed["factorization counts match coproduct, I=21"]
+    assert passed["factorization counts match coproduct, I=12"]
 
 
 def test_restricted_enumeration_loses_no_factorization():
@@ -178,14 +179,26 @@ def test_within_keeps_supports_inside_cycles():
     assert within == [[2, 1, 3, 4], [1, 2, 4, 3]]
 
 
+def _padded(sigma, m):
+    """sigma with fixed points appended up to m letters."""
+    return list(sigma) + list(range(len(sigma) + 1, m + 1))
+
+
 def test_representative_independence():
-    assert fz.representative_independence_check((2,), [3, 1, 2])
-    assert fz.representative_independence_check((2, 1), [4, 1, 5, 2, 3])
+    # the partition-level tally depends on the cycle type only
+    for i, other in (((2,), [3, 1, 2]), ((2, 1), [4, 1, 5, 2, 3])):
+        sigma = fz.canonical_permutation(i)
+        other = _padded(other, len(sigma))
+        assert sorted(fz.ordered_cycle_type(other)) == sorted(fz.ordered_cycle_type(sigma))
+        assert fz.partition_tally(other) == fz.partition_tally(sigma)
 
 
 def test_wrong_cycle_type_rejected():
-    with pytest.raises(ValueError):
-        fz.representative_independence_check((2,), [2, 1, 3])
+    # a permutation of another cycle type is no representative: its tally differs
+    sigma = fz.canonical_permutation((2,))
+    other = _padded([2, 1, 3], len(sigma))
+    assert sorted(fz.ordered_cycle_type(other)) != sorted(fz.ordered_cycle_type(sigma))
+    assert fz.partition_tally(other) != fz.partition_tally(sigma)
 
 
 def test_oversized_ambient_group_rejected():

@@ -79,8 +79,10 @@ def test_witnesses_match_coefficients():
 
 def test_cocommutativity_and_coassociativity():
     for n in range(6):
-        assert hopf.cocommutativity_check(hopf.delta_g_algebraic(n))
-        assert hopf.coassociativity_check(n)
+        a = hopf.delta_g_algebraic(n)
+        assert a.permute((1, 0)) == a
+        t = algebra.coproduct(lagrange.g_component(n))
+        assert t.split_leg(0) == t.split_leg(1)
 
 
 def test_monomial_coproduct_is_multiplicative():
@@ -129,7 +131,7 @@ def test_word_coproduct_parkizes():
 
 def test_biprofile_regrouping():
     for n in range(6):
-        assert hopf.biprofile_regrouping_check(n)
+        assert hopf.split_biprofiles(n) == set(parking.enumerate_parking_biprofiles(n))
 
 
 def test_multiplicity_free_term_counts():

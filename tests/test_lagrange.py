@@ -32,7 +32,7 @@ def test_cubic_component_on_s():
 
 def test_component_coefficients_count_parking_types():
     for n in range(8):
-        assert lagrange.k_parking_check(n, 1)
+        assert lagrange.gk_component_via_ndpf(1, n) == lagrange.g_component(n)
 
 
 def test_degree_zero_is_one():
@@ -172,7 +172,7 @@ def test_k_analogue_cubic_display():
 def test_k_analogue_counts_k_parking_types():
     for k in (2, 3):
         for n in range(6):
-            assert lagrange.k_parking_check(n, k)
+            assert lagrange.gk_component_via_ndpf(k, n) == lagrange.gk_component(k, n)
 
 
 def test_series_inverse_is_two_sided():
@@ -185,16 +185,18 @@ def test_series_inverse_is_two_sided():
 
 
 def test_free_cumulant_functional_equation():
-    assert lagrange.free_cumulant_check(6)
+    inverse = lagrange.series_inverse(lagrange._neg_g_series(6))
+    assert inverse.components == lagrange.free_cumulants(6).components
 
 
 def test_cumulant_reciprocity():
     for n in range(1, 7):
-        assert lagrange.cumulant_reciprocity_check(n)
+        assert lagrange.free_cumulants(n).component(n).terms == lagrange.s_generator_on_g(n).terms
 
 
 def test_negated_alphabet_inverse_identity():
-    assert lagrange.gamma_check(6)
+    inverse = lagrange.series_inverse(lagrange._neg_g_series(6))
+    assert lagrange.neg_g_inverse_fixed_point(6) == inverse.components
 
 
 def test_negated_alphabet_four_routes_agree():
@@ -228,7 +230,8 @@ def test_negated_alphabet_absolute_sums():
 
 def test_negated_alphabet_s_coefficients():
     for n in range(1, 6):
-        assert lagrange.g_neg_s_coefficient_check(n)
+        neg = algebra.neg_alphabet(lagrange.g_component(n))
+        assert neg == lagrange.g_neg_s_via_counting(n)
 
 
 def test_doubled_pairing_identity():

@@ -16,7 +16,10 @@ function of the package a second public name.
 A fourth keeps one product rule: exactly one class defines ``__mul__``.
 
 A fifth keeps one degreewise solver: exactly one function is named
-``power_component``."""
+``power_component``.
+
+A sixth keeps one verify comparator: no public function's name ends in
+``_check``, and no function is named ``coproduct_mismatch``."""
 
 import ast
 import io
@@ -158,3 +161,12 @@ def test_one_function_computes_power_components():
         and node.name == "power_component"
     ]
     assert len(owners) == 1, "functions named power_component: " + ", ".join(owners)
+
+
+def test_routes_are_compared_by_the_verify_engine_only():
+    """`nclag.verify` compares the routes of every case and reports the
+    first differing term; a library function that returns whether two
+    routes agree, or reports their difference itself, forks it."""
+    checks = [f"{where} {name}" for where, name in _public_defs() if name.endswith("_check")]
+    assert not checks, "public functions named *_check: " + ", ".join(checks)
+    assert "coproduct_mismatch" not in _function_names()

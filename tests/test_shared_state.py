@@ -74,14 +74,15 @@ def _run_readers():
         routes = (lagrange.gk_component, lagrange.gk_component_iterative, lagrange.gk_component_via_phi)
         k = [f(2, m) for f in routes]
         assert k[0] == k[1] == k[2]
-    assert lagrange.free_cumulant_check(N)
-    assert lagrange.gamma_check(N)
+    inverse = lagrange.series_inverse(lagrange._neg_g_series(N)).components
+    assert inverse == lagrange.free_cumulants(N).components
+    assert inverse == lagrange.neg_g_inverse_fixed_point(N)
     inv = lagrange.series_inverse(g_table(N))
     assert series_product_component(inv, g_table(N), N).is_zero()
     for n in range(1, N + 1):
         assert lagrange.s_to_g_via_recipe(n) == lagrange.s_generator_on_g(n)
         assert lagrange.g_neg(n) == lagrange.g_neg_via_doubling(n)
-        assert lagrange.k_parking_check(n, 1)
+        assert lagrange.gk_component_via_ndpf(1, n) == lagrange.g_component(n)
     assert transition_matrix("F", "S", 4) == f_basis_table_via_breakpoints(4)
     assert hopf.delta_g_monomial((2, 1)) == hopf.delta_g_algebraic(2) * hopf.delta_g_algebraic(1)
 

@@ -447,7 +447,7 @@ def cmd_verify(args):
                     "case": label,
                     "ok": bool(ok),
                     "witness": witness,
-                    "seconds": round(now - last, 3),
+                    "seconds": round(now - last, 6),
                 }
             )
             last = now
@@ -458,14 +458,14 @@ def cmd_verify(args):
                 "suite": name,
                 "max_n": args.max_n,
                 "cases": cases,
-                "seconds": round(time.monotonic() - t0, 3),
+                "seconds": round(time.monotonic() - t0, 6),
             }
         )
     if args.json:
         print(json.dumps({"reports": reports, "failed": failed}, sort_keys=True, default=str))
     else:
         for rep in reports:
-            print(f"suite {rep['suite']} (max n {rep['max_n']}, {rep['seconds']}s)")
+            print(f"suite {rep['suite']} (max n {rep['max_n']}, {round(rep['seconds'], 3)}s)")
             for case in rep["cases"]:
                 mark = "ok  " if case["ok"] else "FAIL"
                 print(f"  {mark} {case['case']}")

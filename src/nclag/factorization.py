@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from . import algebra, compositions as comps, noncrossing
+from .cache import cached
 
 
 def canonical_permutation(i_comp):
@@ -155,6 +156,7 @@ def count_minimal_factorizations(i_comp, j_comp, k_comp) -> int:
     return len(canonical_factorizations(i_comp, j_comp, k_comp))
 
 
+@cached
 def _run_table(length) -> algebra.TensorElement:
     """The minimal factorizations alpha * beta of one run of sigma, an
     L-cycle (L = length), as the G (x) G tensor that counts them by reduced
@@ -194,10 +196,9 @@ def factorization_tally(i_comp) -> algebra.TensorElement:
     I of `_run_table(p + 1)`.
     """
     _bounded_canonical_permutation(i_comp)
-    tables = {p: _run_table(p + 1) for p in set(i_comp)}
     tally = algebra.TensorElement.one(("G", "G"))
     for p in i_comp:
-        tally = tally * tables[p]
+        tally = tally * _run_table(p + 1)
     return tally
 
 

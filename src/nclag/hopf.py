@@ -133,16 +133,40 @@ def coproduct_P(pi):
     return dict(tally)
 
 
-def split_biprofiles(n) -> set:
-    """The set of biprofiles (profile of u, profile of v) of the
-    multiplicity-free splits (u, v) of every index word of size n: the
-    splits regrouped by biprofile give exactly the parking biprofiles."""
-    seen = set()
-    profiles = {}  # at n = 10: 8.06M lookups of 58,786 distinct words
-    for pi in parking.enumerate_ndpf(n):
-        for u, v in unparkized_terms(pi):
-            for x in (u, v):
-                if x not in profiles:
-                    profiles[x] = parking.profile(x)
-            seen.add((profiles[u], profiles[v]))
-    return seen
+def split_biprofile_tally(n) -> dict:
+    """The multiplicity-free splits (u, v) of every index word of size n,
+    tallied by biprofile (profile of u, profile of v), without visiting a
+    split.
+
+    One dynamic program over the letters x = 1..n: a state (t letters
+    placed, profile of u, profile of v) counts its splits.  Letter x gets
+    a multiplicity m with t + m >= x, the parking condition, and t ends
+    at n; k of the m copies go to u and m - k to v, each profile extended
+    by the greedy step `parking._extend_profile`, memoized per run on
+    (profile, x, k).  u ∪ v is an index word exactly when the biprofile
+    is a parking biprofile (P, Q), which then occurs Π Cat(c_i) · Π Cat(d_j)
+    times: the words of one profile are the shifted index words of its
+    biletters.  The total is C(3n+1, n)/(n+1)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    steps = {}
+
+    def extend(p, x, k):
+        if not k:
+            return p
+        key = p, x, k
+        if key not in steps:
+            steps[key] = parking._extend_profile(p, x, k)
+        return steps[key]
+
+    empty = ((), ())
+    layer = {(0, empty, empty): 1}
+    for x in range(1, n + 1):
+        following = {}
+        for (t, u, v), ways in layer.items():
+            for m in range(max(0, x - t), n - t + 1):
+                for k in range(m + 1):
+                    state = t + m, extend(u, x, k), extend(v, x, m - k)
+                    following[state] = following.get(state, 0) + ways
+        layer = following
+    return {(u, v): ways for (_, u, v), ways in layer.items()}

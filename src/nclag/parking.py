@@ -113,32 +113,30 @@ def parkize(w):
     return tuple(out)
 
 
-def _max_parking_prefix(w):
-    # longest prefix that, shifted down by w[0]-1, is a parking function
-    shift = w[0] - 1
-    c = 0
-    for j, v in enumerate(w):
-        if v - shift > j + 1:
-            break
-        c = j + 1
-    return c
+def _extend_profile(p, x, k):
+    """The profile of a word with profile p after k >= 1 copies of a letter
+    x, no smaller than its letters, are appended.  The greedy rule: a
+    biletter (s, c) is a shifted parking function as long as each next
+    letter is at most s + c, so x extends the last biletter when
+    x <= s + c, and otherwise opens the biletter (x, k).  Earlier
+    biletters are final, so p is all the step reads."""
+    s, c = p
+    if s and x <= s[-1] + c[-1]:
+        return s, c[:-1] + (c[-1] + k,)
+    return s + (x,), c + (k,)
 
 
 def profile(w):
-    """Greedy maximal factorization into shifted parking functions."""
+    """Greedy maximal factorization into shifted parking functions: the
+    fold of `_extend_profile` over the letters of w."""
     if not is_nondecreasing(w):
         raise ValueError("word must be nondecreasing")
     if w and w[0] < 1:
         raise ValueError("letters must be positive")
-    starts, lengths = [], []
-    pos = 0
-    while pos < len(w):
-        rest = w[pos:]
-        c = _max_parking_prefix(rest)
-        starts.append(rest[0])
-        lengths.append(c)
-        pos += c
-    return tuple(starts), tuple(lengths)
+    p = ((), ())
+    for x in w:
+        p = _extend_profile(p, x, 1)
+    return p
 
 
 def is_profile(p) -> bool:

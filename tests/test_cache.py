@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from nclag import algebra, cache, cli, compositions as comps, hopf, incidence, lagrange, noncrossing, parking
+from nclag import algebra, cache, cli, compositions as comps, factorization, hopf, incidence
+from nclag import lagrange, noncrossing, parking
 from nclag.algebra import NSymElement, QSymElement, TensorElement
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nclag"
@@ -29,6 +30,7 @@ MEMOS = {
     "nclag.noncrossing._trees": noncrossing._trees,
     "nclag.parking.ndpf_count_of_type": parking.ndpf_count_of_type,
     "nclag.parking._parking_biprofiles": parking._parking_biprofiles,
+    "nclag.factorization._run_table": factorization._run_table,
     "nclag.cli._shared_parser": cli._shared_parser,
 }
 
@@ -96,6 +98,7 @@ def _fill():
             lagrange.s_generator_on_g(n),
             parking.enumerate_parking_biprofiles(n),
             incidence.multichain_count(n, 2),
+            factorization.factorization_tally((n + 1,)),
         ]
         for i in comps.all_compositions(n):
             out.append(parking.ndpf_count_of_type(i))

@@ -2,6 +2,7 @@ import argparse
 import ast
 import functools
 import json
+import numbers
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from nclag import algebra, cli, compositions as comps, hopf, lagrange, noncrossing, parking
+from nclag import algebra, cli, compositions as comps, hopf, lagrange, noncrossing, parking, verify
 
 from test_parking import all_pairs_of_profiles, is_parking_biprofile
 
@@ -433,6 +434,21 @@ def test_verify_json_times_each_case_from_the_previous_one(capsys, monkeypatch):
     assert report["seconds"] >= slow["seconds"]
 
 
+def test_verify_json_times_a_case_below_a_millisecond(capsys, monkeypatch):
+    def suite(max_n):
+        time.sleep(0.0004)
+        yield "sub-millisecond case", True, {}
+
+    monkeypatch.setitem(cli.SUITES, "antipode", suite)
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "antipode")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    (case,) = report["cases"]
+    assert 0.0004 <= case["seconds"] < 0.05
+    assert report["seconds"] >= case["seconds"]
+    assert case["seconds"] == round(case["seconds"], 6)
+
+
 def test_factorization_failure_names_the_first_differing_pair(capsys, monkeypatch):
     true = hopf.delta_g_monomial
     terms = dict(true((2, 1)).terms)
@@ -479,6 +495,9 @@ CORRUPTED_ROUTES = [
     (hopf, "delta_g_trees", (3,), "coproduct", "delta_g_algebraic", "coproduct routes agree, n=3"),
     (hopf, "delta_g_monomial", ((2, 1),), "factorization", "factorization_tally",
      "factorization counts match coproduct, I=21"),
+    # a dict route: one biprofile's split count raised by 1
+    (hopf, "split_biprofile_tally", (3,), "coproduct", "parking_biprofiles",
+     "biprofile regrouping, n=3"),
 ]
 
 
@@ -491,13 +510,16 @@ def test_a_corrupted_route_is_named_with_its_first_differing_term(
     capsys, monkeypatch, module, route, args, suite, first, label
 ):
     true = getattr(module, route)
-    terms = true(*args).terms
+    value = true(*args)
+    terms = getattr(value, "terms", value)
     key = max(terms)
     bumped = {**terms, key: terms[key] + 1}
 
     def corrupted(*a):
         x = true(*a)
-        return type(x)(x.basis, bumped) if a == args else x
+        if a != args:
+            return x
+        return type(x)(x.basis, bumped) if hasattr(x, "terms") else bumped
 
     monkeypatch.setattr(module, route, corrupted)
     code, out, _ = run(capsys, "--json", "verify", "--suite", suite, "--max-n", "3")
@@ -509,6 +531,40 @@ def test_a_corrupted_route_is_named_with_its_first_differing_term(
     assert bad["witness"]["routes"] == [first, route]
     assert bad["witness"]["term"] == json.loads(json.dumps(key))
     assert bad["witness"]["values"] == [terms[key], terms[key] + 1]
+
+
+def _cheap(value):
+    """Whether freeing a value costs nothing worth timing: a number, a
+    string, a range, a class, or a tuple or str-keyed dict of such (route
+    names, parameters, a passing case)."""
+    if value is None or isinstance(value, (numbers.Number, str, range, type)):
+        return True
+    if isinstance(value, tuple):
+        return all(map(_cheap, value))
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _cheap(v) for k, v in value.items())
+    return False
+
+
+# the values a suite keeps bound across a yield because a later case reads
+# them, such as g(-A)'s inverse from the free cumulant case to the fixed
+# point case; each is freed in that later case
+KEPT_FOR_A_LATER_CASE = {
+    "lagrange": {"inverse"},
+    "coproduct": {"a", "nc"},
+    "trees": {"trees", "images"},
+    "appendix": {"pairs", "words"},
+}
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_a_suite_frees_each_value_in_the_last_case_that_reads_it(name):
+    # a value still bound at a yield is freed in the next case's time
+    suite = verify.SUITES[name](5)
+    held = [{k for k, v in suite.gi_frame.f_locals.items() if not _cheap(v)} for _ in suite]
+    kept = KEPT_FOR_A_LATER_CASE.get(name, set())
+    assert all(names <= kept for names in held), held
+    assert held[-1] == set()
 
 
 @pytest.mark.parametrize(

@@ -129,9 +129,45 @@ def test_word_coproduct_parkizes():
     assert sum(cp.values()) == 12
 
 
+def catalan(n):
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def split_tally_by_walk(n):
+    """The splits (u, v) of every index word of size n, visited one by one
+    and tallied by (profile u, profile v)."""
+    return Counter(
+        (parking.profile(u), parking.profile(v))
+        for pi in parking.enumerate_ndpf(n)
+        for u, v in hopf.unparkized_terms(pi)
+    )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_split_biprofile_tally_equals_the_walk_over_every_split(n):
+    assert hopf.split_biprofile_tally(n) == dict(split_tally_by_walk(n))
+
+
 def test_biprofile_regrouping():
-    for n in range(6):
-        assert hopf.split_biprofiles(n) == set(parking.enumerate_parking_biprofiles(n))
+    # u ∪ v is an index word exactly when (profile u, profile v) is a
+    # parking biprofile (P, Q), which it is in Π Cat(c_i) · Π Cat(d_j) ways
+    for n in range(9):
+        weighted = {
+            (p, q): math.prod(catalan(c) for c in p[1] + q[1])
+            for p, q in parking.enumerate_parking_biprofiles(n)
+        }
+        assert hopf.split_biprofile_tally(n) == weighted
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_split_count_is_the_raney_number(n):
+    total = math.comb(3 * n + 1, n) // (n + 1)
+    assert sum(hopf.split_biprofile_tally(n).values()) == total
+
+
+def test_split_biprofile_tally_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="nonnegative"):
+        hopf.split_biprofile_tally(-1)
 
 
 def test_multiplicity_free_term_counts():

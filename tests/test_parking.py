@@ -116,6 +116,29 @@ def min_word(p):
     return tuple(out)
 
 
+def profile_by_prefixes(w):
+    """The greedy profile cut prefix by prefix: again and again, the longest
+    prefix of the rest that is a parking function once shifted down by its
+    first letter minus one, with the checks `parking.profile` makes."""
+    if not parking.is_nondecreasing(w):
+        raise ValueError("word must be nondecreasing")
+    if w and w[0] < 1:
+        raise ValueError("letters must be positive")
+    starts, lengths = [], []
+    pos = 0
+    while pos < len(w):
+        rest = w[pos:]
+        c = 0
+        for j, v in enumerate(rest):
+            if v - (rest[0] - 1) > j + 1:
+                break
+            c = j + 1
+        starts.append(rest[0])
+        lengths.append(c)
+        pos += c
+    return tuple(starts), tuple(lengths)
+
+
 def test_profile_rejects_a_letter_below_one():
     for w in ((0,), (0, 1, 2), (-1, 1)):
         with pytest.raises(ValueError, match="positive"):

@@ -17,7 +17,7 @@ from nclag.algebra import NSymElement, QSymElement, TensorElement
 
 from test_lagrange import series_product_component
 from test_noncrossing import branch_blocks_by_paths, crosses_pairwise
-from test_parking import parkize_by_shifts
+from test_parking import parkize_by_shifts, profile_by_prefixes
 
 MODEST = settings(max_examples=150, deadline=None)
 
@@ -221,6 +221,26 @@ def test_lattice_walks_equal_the_descent_set_reference(comp):
 @given(compositions(max_n=14))
 def test_profile_code_round_trip(comp):
     assert parking.c_map(parking.c_inverse(comp), sum(comp)) == comp
+
+
+@MODEST
+@given(st.lists(st.integers(1, 20), max_size=12).map(sorted).map(tuple))
+def test_profile_is_the_greedy_prefix_cut(w):
+    assert parking.profile(w) == profile_by_prefixes(w)
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@MODEST
+@given(st.lists(st.integers(-1, 6), max_size=12).flatmap(lambda w: st.sampled_from([w, sorted(w)])))
+def test_profile_refuses_what_the_prefix_cut_refuses(w):
+    w = tuple(w)
+    assert _outcome(parking.profile, w) == _outcome(profile_by_prefixes, w)
 
 
 @MODEST

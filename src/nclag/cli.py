@@ -240,30 +240,24 @@ def cmd_biprofiles(args):
     # each distinct profile is encoded once, as a composition of n + 1, and
     # written once in the output asked for
     codes = {p: parking.c_map(p, args.n + 1) for p in {p for pair in bps for p in pair}}
-
-    def payload():
-        lists = {p: ([list(p[0]), list(p[1])], list(i)) for p, i in codes.items()}
-        return {
-            "n": args.n,
-            "count": len(bps),
-            "items": [
-                {
-                    "left": lists[left][0],
-                    "right": lists[right][0],
-                    "compositions": [lists[left][1], lists[right][1]],
-                }
-                for left, right in bps
-            ],
-        }
-
-    def text():
-        words = {p: (str(p), comps.to_text(i)) for p, i in codes.items()}
-        return "\n".join(
-            f"{words[left][0]} {words[right][0]} -> {words[left][1]} | {words[right][1]}"
+    if args.json:
+        # spliced in the key order and separators of json.dumps(...,
+        # sort_keys=True), so the bytes are those of the dumped payload
+        lists = {p: (json.dumps(p), json.dumps(i)) for p, i in codes.items()}
+        items = ", ".join(
+            f'{{"compositions": [{lists[left][1]}, {lists[right][1]}], '
+            f'"left": {lists[left][0]}, "right": {lists[right][0]}}}'
             for left, right in bps
         )
-
-    _emit(args, payload, text)
+        print(f'{{"count": {len(bps)}, "items": [{items}], "n": {args.n}}}')
+    else:
+        words = {p: (str(p), comps.to_text(i)) for p, i in codes.items()}
+        print(
+            "\n".join(
+                f"{words[left][0]} {words[right][0]} -> {words[left][1]} | {words[right][1]}"
+                for left, right in bps
+            )
+        )
     return 0
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from . import algebra, lagrange, noncrossing, parking
+from . import algebra, compositions as comps, lagrange, noncrossing, parking
 from .algebra import TensorElement, coproduct as s_coproduct
 from .cache import cached
 
@@ -84,6 +84,8 @@ def delta_g_trees(n) -> TensorElement:
 def delta_g_monomial(index) -> TensorElement:
     """Coproduct of a G-basis monomial (multiplicative extension), with one
     coproduct per distinct part."""
+    if not comps.is_composition(index):
+        raise ValueError("index must be a composition")
     factors = {p: delta_g_algebraic(p) for p in set(index)}
     out = TensorElement.one(("G", "G"))
     for p in index:

@@ -618,7 +618,7 @@ def test_biprofiles_output_equals_the_filter_of_all_pairs(capsys, monkeypatch, n
     ]
     code, out, _ = run(capsys, "--json", "biprofiles", "--n", str(n))
     assert code == 0
-    assert json.loads(out) == {
+    reference = {
         "n": n,
         "count": len(pairs),
         "items": [
@@ -630,6 +630,14 @@ def test_biprofiles_output_equals_the_filter_of_all_pairs(capsys, monkeypatch, n
             for (left, right), (i, j) in zip(pairs, images)
         ],
     }
+    assert json.loads(out) == reference
+    # the answer is spliced from encoded profiles: byte for byte, it is
+    # what every other command prints, json.dumps(payload, sort_keys=True).
+    # Compared through the first differing byte, since a diff of the two
+    # strings (2 MB at n = 9) would take minutes to print.
+    want = json.dumps(reference, sort_keys=True) + "\n"
+    differ = next((k for k, (a, b) in enumerate(zip(out, want)) if a != b), None)
+    assert (differ, len(out)) == (None, len(want))
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -91,6 +91,14 @@ def test_monomial_coproduct_is_multiplicative():
     assert t == single
 
 
+def test_monomial_coproduct_refuses_a_part_below_one():
+    # a zero part is no composition, though the coproduct of g_0 is 1 (x) 1
+    for index in ((0,), (-1,), (2, 0, 1)):
+        with pytest.raises(ValueError, match="composition"):
+            hopf.delta_g_monomial(index)
+    assert hopf.delta_g_monomial(()) == algebra.TensorElement.one(("G", "G"))
+
+
 def test_word_coproduct_splits():
     terms = hopf.unparkized_terms((1, 1, 2, 4))
     assert len(terms) == 12

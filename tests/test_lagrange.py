@@ -164,6 +164,23 @@ def test_negative_degree_is_rejected():
             lagrange.gk_component(k, -1)
 
 
+def test_every_solve_rejects_a_negative_degree():
+    # below degree 0 there is no series: each solve refuses N < 0, not only
+    # the forward one, instead of answering with the bare unit
+    solves = (
+        lambda N: lagrange.solve_functional_equation(
+            lambda n: NSymElement.monomial("S", (n,)), lambda n: n, N
+        ),
+        lambda N: lagrange.coefficients_of(lagrange.sigma_series(3), lambda n: n, N),
+        lagrange.sigma_series,
+        lagrange.free_cumulants,
+    )
+    for solve in solves:
+        with pytest.raises(ValueError, match="N must be nonnegative"):
+            solve(-1)
+        assert solve(0).components == [NSymElement.one("S")]
+
+
 def test_k_analogue_cubic_display():
     h3 = lagrange.gk_component(2, 3)
     assert h3.terms == {(3,): 1, (2, 1): 4, (1, 2): 2, (1, 1, 1): 5}

@@ -243,10 +243,10 @@ def cmd_biprofiles(args):
     if args.json:
         # spliced in the key order and separators of json.dumps(...,
         # sort_keys=True), so the bytes are those of the dumped payload
-        lists = {p: (json.dumps(p), json.dumps(i)) for p, i in codes.items()}
+        encoded = {p: (json.dumps(p), json.dumps(i)) for p, i in codes.items()}
         items = ", ".join(
-            f'{{"compositions": [{lists[left][1]}, {lists[right][1]}], '
-            f'"left": {lists[left][0]}, "right": {lists[right][0]}}}'
+            f'{{"compositions": [{encoded[left][1]}, {encoded[right][1]}], '
+            f'"left": {encoded[left][0]}, "right": {encoded[right][0]}}}'
             for left, right in bps
         )
         print(f'{{"count": {len(bps)}, "items": [{items}], "n": {args.n}}}')

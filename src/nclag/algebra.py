@@ -4,10 +4,11 @@ NSym side: S (complete), L (elementary), R (ribbon), G (Lagrange), F
 (the inclusion-exclusion companion of G).  QSym side: M (monomial), E
 (essential), V (signed essential, dual to L), C (dual to G).
 Coefficients are Python ints, so arbitrary precision comes for free,
-except in the S-elements that `incidence._in_t` builds from the hat
-values of a multiplicative function for `g_values` and `from_g_values`
-to solve with: those are Fractions.  Nothing here divides or rounds a
-coefficient, so both kinds stay exact.
+except in the S-elements that `incidence._in_t` builds for `g_values`
+and `from_g_values` to solve with: those hold Fractions, from the hat
+values of a multiplicative function only where a hat value is not an
+integer.  Nothing here divides or rounds a coefficient, so both kinds
+stay exact.
 
 The product is defined once, in `_Element.__mul__`: S, L and G (on every
 leg of a tensor) concatenate indices in one pass, and every other basis

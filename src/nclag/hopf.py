@@ -36,14 +36,28 @@ def delta_g_biprofiles(n) -> TensorElement:
 def delta_g_noncrossing(n) -> TensorElement:
     """Coproduct tallied over noncrossing partitions of a set one larger:
     reduced ordered type on the left leg, reduced ordered type of the
-    Kreweras complement on the right."""
+    Kreweras complement on the right.  Each partition is built and checked
+    once; each complement is walked, not checked again, and looked up
+    among them by its blocks.  K permutes NC(n + 1), so a complement that
+    is not among them, or is met twice, raises ArithmeticError."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    tally = Counter(
-        (p.reduced_ordered_type(), noncrossing.kreweras(p).reduced_ordered_type())
-        for p in noncrossing.enumerate_nc(n + 1)
-    )
-    return TensorElement(("G", "G"), tally)
+    parts = noncrossing.enumerate_nc(n + 1)
+    types = [p.reduced_ordered_type() for p in parts]
+    unmet = {p.blocks: t for p, t in zip(parts, types)}
+
+    def complement_type(p):
+        blocks = noncrossing._kreweras_walk(p)[0]
+        t = unmet.pop(blocks, None)
+        if t is None:
+            known = any(q.blocks == blocks for q in parts)
+            raise ArithmeticError(
+                f"the Kreweras complement of {noncrossing.to_text(p)} is "
+                + ("met twice" if known else f"not in NC({n + 1})")
+            )
+        return t
+
+    return TensorElement(("G", "G"), Counter(zip(types, map(complement_type, parts))))
 
 
 def delta_g_trees(n) -> TensorElement:

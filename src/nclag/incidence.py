@@ -31,12 +31,13 @@ def _fraction(*args):
 
 class MultiplicativeFunction:
     """A character of the incidence Hopf algebra, stored by its hat series
-    (exact rationals, constant term 1)."""
+    (exact rationals, constant term 1).  An integral hat value is kept as
+    an int, so that zeta and Moebius powers solve on ints."""
 
     __slots__ = ("hat",)
 
     def __init__(self, hat):
-        hat = [_fraction(x) for x in hat]
+        hat = [x.numerator if x.denominator == 1 else x for x in map(_fraction, hat)]
         if not hat or hat[0] != 1:
             raise ValueError("hat series must start with 1")
         self.hat = hat

@@ -187,8 +187,43 @@ def nc_to_ndpf(p: NoncrossingPartition):
 
 
 def enumerate_nc(n):
-    """All noncrossing partitions of 1..n (Catalan(n) of them)."""
-    return [ndpf_to_nc(w) for w in parking.enumerate_ndpf(n)]
+    """All noncrossing partitions of 1..n (Catalan(n) of them), built depth
+    first and each checked once, in the order of their words: the list is
+    `ndpf_to_nc` of `parking.enumerate_ndpf(n)`, without a word decoded.
+    More copies of a letter come first in that order, so element e opens a
+    block of c elements, for c from the most the unplaced letters allow
+    down to 1, and last joins the innermost open block with room, as the
+    decoder does.  ``t`` counts the elements of the blocks opened so far;
+    block k, the innermost, has ``room`` elements to come, and ``below``
+    links the (k, room, below) of the open blocks under it that have room.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    out = []
+    blocks = []
+    owner = [None] * (n + 1)
+
+    def build(e, t, k, room, below):
+        if e > n:
+            out.append(_checked(n, tuple(map(tuple, blocks)), owner[:]))
+            return
+        if t < n:
+            outer = (k, room, below) if room else below
+            owner[e] = len(blocks)
+            blocks.append([e])
+            for c in range(n - t, 0, -1):
+                build(e + 1, t + c, owner[e], c - 1, outer)
+            blocks.pop()
+        if not room and below is not None:
+            k, room, below = below
+        if room:
+            owner[e] = k
+            blocks[k].append(e)
+            build(e + 1, t, k, room - 1, below)
+            blocks[k].pop()
+
+    build(1, 0, None, 0, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +253,13 @@ def cycles_of(w):
     return out
 
 
-def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
-    """The Kreweras complement: the cycles of K = w^-1 c (c applied first),
-    K(i) = the predecessor of i mod n + 1 in its block, taken cyclically.
-    Walked from each unseen start in increasing order, they are the sorted
-    blocks; a revisit, or a cycle not increasing from its minimum, means
-    they are not: ArithmeticError.
-    """
+def _kreweras_walk(p: NoncrossingPartition):
+    """The blocks of the Kreweras complement and their ``owner`` list, as
+    `kreweras` reads them, before `_check`: the cycles of K = w^-1 c (c
+    applied first), K(i) = the predecessor of i mod n + 1 in its block,
+    taken cyclically.  Walked from each unseen start in increasing order,
+    they are the sorted blocks; a revisit, or a cycle not increasing from
+    its minimum, means they are not: ArithmeticError."""
     n = p.n
     prev = [0] * (n + 1)
     for b in p.blocks:
@@ -251,7 +286,12 @@ def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
             cyc.append(e)
             e = prev[e % n + 1]
         blocks.append(tuple(cyc))
-    return _checked(n, tuple(blocks), owner)
+    return tuple(blocks), owner
+
+
+def kreweras(p: NoncrossingPartition) -> NoncrossingPartition:
+    """The Kreweras complement, walked by `_kreweras_walk` and checked."""
+    return _checked(p.n, *_kreweras_walk(p))
 
 
 # ---------------------------------------------------------------------------

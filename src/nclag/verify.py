@@ -90,7 +90,8 @@ def _branch_tally(n):
 
 def cases(suite, max_n):
     """A suite's cases; a failed internal check (an ArithmeticError of
-    `kreweras`, `tree_phi` or `multichain_count`) ends it as a failed case."""
+    `kreweras`, `tree_phi`, `multichain_count` or `delta_g_noncrossing`)
+    ends it as a failed case."""
     try:
         yield from suite(max_n)
     except ArithmeticError as e:

@@ -1088,6 +1088,45 @@ def test_verify_reports_a_failed_internal_check_as_a_failed_case(capsys, monkeyp
     assert "Traceback" not in err
 
 
+KREWERAS_WALK = noncrossing._kreweras_walk
+
+
+def _walk_outside_nc(p):
+    """The Kreweras walk, but from N = 4 on a crossing partition of 1..N."""
+    blocks, owner = KREWERAS_WALK(p)
+    if p.n >= 4:
+        blocks = ((1, 3), (2, 4)) + tuple((e,) for e in range(5, p.n + 1))
+    return blocks, owner
+
+
+def _walk_to_the_singletons(p):
+    """The Kreweras walk, but every complement is the singletons."""
+    return tuple((e,) for e in range(1, p.n + 1)), KREWERAS_WALK(p)[1]
+
+
+@pytest.mark.parametrize(
+    "walk, error, n",
+    [(_walk_outside_nc, "is not in NC(4)", 3), (_walk_to_the_singletons, "is met twice", 1)],
+)
+def test_a_corrupted_kreweras_walk_fails_the_noncrossing_route(capsys, monkeypatch, walk, error, n):
+    # each complement is looked up among the partitions built once: one
+    # outside them, or one met twice, is an internal error, also in verify
+    monkeypatch.setattr(noncrossing, "_kreweras_walk", walk)
+    hopf.delta_g_noncrossing.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=re.escape(error)):
+            hopf.delta_g_noncrossing(n)
+        code, out, err = outcome(capsys, ["verify", "--suite", "coproduct", "--max-n", "3"])
+    finally:
+        hopf.delta_g_noncrossing.cache_clear()
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "  FAIL internal invariant holds"
+    ]
+    assert error in err
+    assert "Traceback" not in err
+
+
 def test_verify_goes_on_after_a_suite_whose_internal_check_fails(capsys, monkeypatch):
     monkeypatch.setattr(noncrossing, "kreweras", lambda p: p)
     monkeypatch.setattr(cli, "SUITES", {k: cli.SUITES[k] for k in ("trees", "appendix")})

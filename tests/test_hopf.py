@@ -216,6 +216,10 @@ def test_every_route_rejects_a_negative_degree():
             route(-1)
 
 
+def test_noncrossing_route_equals_the_tree_route_at_degree_9():
+    assert hopf.delta_g_noncrossing(9) == hopf.delta_g_trees(9)
+
+
 def test_tree_route_equals_the_algebraic_route():
     for n in range(11):
         assert hopf.delta_g_trees(n) == hopf.delta_g_algebraic(n), n

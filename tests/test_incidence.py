@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from nclag import factorization as fz, incidence as inc, noncrossing as nc
+from nclag import factorization as fz, incidence as inc, lagrange, noncrossing as nc
+from nclag.algebra import NSymElement
 
 
 def catalan(n):
@@ -18,6 +19,33 @@ def test_zeta_values_are_all_ones():
 def test_mobius_values_are_signed_catalan():
     vals = inc.g_values(inc.mobius(8))
     assert vals == [Fraction((-1) ** n * catalan(n)) for n in range(9)]
+
+
+def g_values_on_fractions(phi):
+    """The scalar equation solved with every hat value a Fraction."""
+    alpha = [
+        NSymElement.monomial("S", (1,) * d, Fraction(x)) for d, x in enumerate(phi.hat)
+    ]
+    series = lagrange.solve_functional_equation(alpha.__getitem__, lambda n: n, phi.max_degree)
+    return [Fraction(x.coeff((1,) * d)) for d, x in enumerate(series.components)]
+
+
+@pytest.mark.parametrize("base", [inc.zeta, inc.mobius, inc.identity_character])
+def test_integral_hat_values_are_ints_and_solve_as_fractions_do(base):
+    for k in range(5):
+        for N in range(9):
+            phi = inc.power(base(N), k)
+            assert all(type(x) is int for x in phi.hat)
+            vals = inc.g_values(phi)
+            assert all(type(v) is Fraction for v in vals)
+            assert vals == g_values_on_fractions(phi), (k, N)
+
+
+def test_a_hat_value_that_is_not_an_integer_stays_a_fraction():
+    phi = inc.MultiplicativeFunction([1, Fraction(1, 2), Fraction(4, 2)])
+    assert phi.hat == [1, Fraction(1, 2), 2]
+    assert [type(x) for x in phi.hat] == [int, Fraction, int]
+    assert inc.g_values(phi) == g_values_on_fractions(phi)
 
 
 def test_mobius_inverts_zeta():

@@ -413,6 +413,13 @@ def test_the_empty_tree_rebuilds_from_its_pair():
     assert nc.rebuild_tree(*nc.tau(None)) is None
 
 
+def test_depth_first_build_equals_the_word_decoding_in_order():
+    # ndpf_to_nc stays the reference: one decoded word per partition
+    for n in range(11):
+        decoded = [nc.ndpf_to_nc(w) for w in parking.enumerate_ndpf(n)]
+        assert nc.enumerate_nc(n) == decoded, n
+
+
 def test_enumeration_rejects_negative_size():
     with pytest.raises(ValueError, match="nonnegative"):
         nc.enumerate_nc(-1)

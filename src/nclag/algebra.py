@@ -16,14 +16,15 @@ multiplies through S and converts back.  QSym has no product yet (its
 quasi-shuffle on M is missing), so a QSym product raises BasisMismatch.
 
 Conversions walk two basis trees, one edge at a time: S with children L,
-R and G, and F below G; M with children E, V and C.  The S<->G and M<->C
-edges read only the two generator tables of the `lagrange` module, g_n on
-S and S_n on G: S<->G substitutes them part by part (`_substitution`),
-and M<->C, the transpose, spreads each term over its coarsenings with
-products of their coefficients (`_block_spread`).  The other ten sum
-over refinements or coarsenings, as one transform over descent masks
-(`_lattice`).  A tensor converts leg by leg, each leg's walk run once per
-group of terms that agree off that leg.
+R and G, and F below G; M with children E, V and C.  The edge table
+`_EDGES` is the trees, and a walk is the one path between two bases.
+The S<->G and M<->C edges read only the two generator tables of the
+`lagrange` module, g_n on S and S_n on G: S<->G substitutes them part by
+part (`_substitution`), and M<->C, the transpose, spreads each term over
+its coarsenings with products of their coefficients (`_block_spread`).
+The other ten sum over refinements or coarsenings, as one transform over
+descent masks (`_lattice`).  A tensor converts leg by leg, each leg's
+walk run once per group of terms that agree off that leg.
 
 A sum of many terms accumulates into a fresh dict (`_add_into`,
 `_mul_into`), never into a cached element's terms, and is wrapped in an
@@ -411,10 +412,6 @@ class TensorElement(_Element):
 # ---------------------------------------------------------------------------
 # Basis conversions: two trees, one walk
 
-# NSym: S is the root, with children L, R and G, and F below G.
-# QSym: M is the root, with children E, V and C.
-_PARENT = {"L": "S", "R": "S", "G": "S", "F": "G", "E": "M", "V": "M", "C": "M"}
-
 
 def _lagrange():
     """The `lagrange` module, which imports this one, looked up on use."""
@@ -436,11 +433,10 @@ def _unmask(n, mask):
     return tuple(map(len, bin(mask | 1 << (n - 1))[2:].replace("1", "10")[1:].split("1")))
 
 
-def _lattice(finer, mobius=False, source_sign=False, target_sign=False):
+def _lattice(finer, mobius=False, source_sign=False):
     """The edge X_I = sum of sign(I, J) Y_J over the compositions J finer
     than I (finer=True) or coarser than I, with the sign the product of
-    (-1)^(l(J)-l(I)) if `mobius`, (-1)^(|I|-l(I)) if `source_sign` and
-    (-1)^(|J|-l(J)) if `target_sign`.
+    (-1)^(l(J)-l(I)) if `mobius` and (-1)^(|I|-l(I)) if `source_sign`.
 
     A composition of n is its (n-1)-bit descent mask, so J runs over the
     supersets (finer) or subsets (coarser) of I's mask.  The terms of one
@@ -477,8 +473,7 @@ def _lattice(finer, mobius=False, source_sign=False, target_sign=False):
                         tally[other] = tally.get(other, 0) + step * c
             for mask, c in tally.items():
                 if c:
-                    j = _unmask(n, mask)
-                    out[j] = -c if target_sign and (n - len(j)) & 1 else c
+                    out[_unmask(n, mask)] = c
         return out
 
     return edge
@@ -538,12 +533,14 @@ def _block_spread(generator):
     return edge
 
 
-# (from, to) -> edge
+# (from, to) -> edge, both ways along each edge of the two basis trees:
+# this table is the trees, and `_ROUTES` walks them
 _EDGES = {
     # S_n = sum over J of n of (-1)^(n-l(J)) L^J, and L_n the same on S, so
-    # S^I (or L^I) spreads over the refinements J of I
-    ("L", "S"): _lattice(finer=True, target_sign=True),
-    ("S", "L"): _lattice(finer=True, target_sign=True),
+    # S^I (or L^I) spreads over the refinements J of I with the sign
+    # (-1)^(|J|-l(J)) = (-1)^(|I|-l(I)) (-1)^(l(J)-l(I)), as |J| = |I|
+    ("L", "S"): _lattice(finer=True, mobius=True, source_sign=True),
+    ("S", "L"): _lattice(finer=True, mobius=True, source_sign=True),
     ("R", "S"): _lattice(finer=False, mobius=True),
     # S^I = sum of R_J over J coarser than I
     ("S", "R"): _lattice(finer=False),
@@ -564,31 +561,23 @@ _EDGES = {
 }
 
 
-def _path_to_root(basis):
-    path = [basis]
-    while path[-1] in _PARENT:
-        path.append(_PARENT[path[-1]])
-    return path
-
-
-def _route(source, target):
-    """The edges from `source` up the basis tree to the lowest common
-    ancestor with `target`, then down to `target`."""
-    up, down = _path_to_root(source), _path_to_root(target)
-    while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
-        up.pop()
-        down.pop()
-    # up ends at the lowest common ancestor; walk down without repeating it
-    route = up + down[:-1][::-1]
-    return tuple(_EDGES[edge] for edge in zip(route, route[1:]))
+def _walks_from(source):
+    """basis -> the edges of the walk from `source` to it, for every basis
+    of its tree: a tree has one walk between two of its bases."""
+    walks = {source: ()}
+    todo = [source]
+    while todo:
+        a = todo.pop()
+        for (x, y), edge in _EDGES.items():
+            if x == a and y not in walks:
+                walks[y] = walks[a] + (edge,)
+                todo.append(y)
+    return walks
 
 
 # (from, to) -> the edges of the walk, for every pair of bases of one side
 _ROUTES = {
-    (a, b): _route(a, b)
-    for side in (NSYM_BASES, QSYM_BASES)
-    for a in side
-    for b in side
+    (a, b): walk for a in NSYM_BASES + QSYM_BASES for b, walk in _walks_from(a).items()
 }
 
 
@@ -609,9 +598,8 @@ def _walk(route, terms):
 
 def convert(x, target):
     """Re-express an NSym or QSym element in another basis of its side
-    (exact, round-trippable): up the basis tree from x.basis to the lowest
-    common ancestor, then down to `target`, each edge one pass from the
-    terms to a fresh dict.
+    (exact, round-trippable): along the path of `_EDGES` from x.basis to
+    `target`, each edge one pass from the terms to a fresh dict.
 
     A tensor's target is a tuple of leg bases, one per leg.  Each leg that
     changes basis is walked once per group of terms that agree off it, so

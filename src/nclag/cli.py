@@ -488,11 +488,11 @@ def build_parser():
     )
     q.add_argument("--degree", type=int, required=True)
     q.add_argument("--k", type=int, help="parameter for --series gk, default 2")
-    q.add_argument("--basis", choices=("S", "L", "R", "G", "F"), default="S")
+    q.add_argument("--basis", choices=algebra.NSYM_BASES, default="S")
 
     q = sub.add_parser("convert", help="convert a basis monomial")
-    q.add_argument("--from", dest="basis_from", required=True, choices=("S", "L", "R", "G", "F"))
-    q.add_argument("--to", dest="basis_to", required=True, choices=("S", "L", "R", "G", "F"))
+    q.add_argument("--from", dest="basis_from", required=True, choices=algebra.NSYM_BASES)
+    q.add_argument("--to", dest="basis_to", required=True, choices=algebra.NSYM_BASES)
     q.add_argument("--index", type=_comp_arg, required=True)
 
     q = sub.add_parser("coproduct", help="coproduct of g_n, G^I or a P-word")
@@ -510,7 +510,7 @@ def build_parser():
     g = q.add_mutually_exclusive_group(required=True)
     g.add_argument("--degree", type=int)
     g.add_argument("--index", type=_comp_arg)
-    q.add_argument("--basis", choices=("S", "L", "R", "G"), help="basis of --index, default S")
+    q.add_argument("--basis", choices=algebra.NSYM_BASES, help="basis of --index, default S")
 
     q = sub.add_parser("enumerate", help="list combinatorial families")
     q.add_argument(

@@ -207,8 +207,9 @@ class NCLattice:
     """
 
     def __init__(self, n):
-        if not 1 <= n <= 7:
-            raise ValueError("lattice oracle needs 1 <= n <= 7")
+        if n < 1:
+            raise ValueError("lattice oracle needs n >= 1")
+        lagrange._check_bound(n)
         self.n = n
         self.elements = sorted(noncrossing.enumerate_nc(n), key=self.rank)
         self.index = {p: i for i, p in enumerate(self.elements)}
@@ -296,6 +297,6 @@ class NCLattice:
         return sum(ways)
 
 
-@cached
+@cached(guard=lagrange._check_bound)
 def lattice_oracle(n) -> NCLattice:
     return NCLattice(n)

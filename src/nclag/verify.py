@@ -90,8 +90,8 @@ def _branch_tally(n):
 
 def cases(suite, max_n):
     """A suite's cases; a failed internal check (an ArithmeticError of
-    `kreweras`, `tree_phi`, `multichain_count` or `delta_g_noncrossing`)
-    ends it as a failed case."""
+    `kreweras`, `tree_phi`, `multichain_count`, `chain_count` or
+    `delta_g_noncrossing`) ends it as a failed case."""
     try:
         yield from suite(max_n)
     except ArithmeticError as e:
@@ -146,18 +146,17 @@ def _suite_lagrange(max_n):
 
 
 def _suite_bases(max_n):
+    sides = (algebra.NSymElement, algebra.NSYM_BASES), (algebra.QSymElement, algebra.QSYM_BASES)
     for n in range(max_n + 1):
-        for basis in ("L", "R", "G", "F", "E", "V", "C"):
-            if basis in algebra.NSYM_BASES:
-                home, side = "S", algebra.NSymElement
-            else:
-                home, side = "M", algebra.QSymElement
-            xs = [side.monomial(home, i) for i in comps.all_compositions(n)]
-            back = [algebra.convert(algebra.convert(x, basis), home) for x in xs]
-            label = f"{home}<->{basis} round trip, n={n}"
-            case = _case(label, {"n": n, "basis": basis}, monomials=xs, round_trip=back)
-            del xs, back
-            yield case
+        for side, bases in sides:
+            home = bases[0]
+            for basis in bases[1:]:
+                xs = [side.monomial(home, i) for i in comps.all_compositions(n)]
+                back = [algebra.convert(algebra.convert(x, basis), home) for x in xs]
+                label = f"{home}<->{basis} round trip, n={n}"
+                case = _case(label, {"n": n, "basis": basis}, monomials=xs, round_trip=back)
+                del xs, back
+                yield case
     for n in range(1, min(max_n, 5) + 1):
         gn = lagrange.g_component(n)
         conjugate = gn.map_indices(comps.conjugate)
@@ -301,8 +300,14 @@ def _suite_appendix(max_n):
         touchard = sum(
             2 ** (n - 2 * k) * math.comb(n, 2 * k) * _catalan(k) for k in range(n // 2 + 1)
         )
+        # the Motzkin path of each source word, 2^(its H steps) times
+        bicolored = sum(
+            2 ** noncrossing.word_to_path(noncrossing.s_to_sprime(w)).count("H")
+            for w in noncrossing.enumerate_s_words(n)
+        )
         label = f"Touchard identity, n={n}"
-        yield _case(label, {"n": n}, touchard=touchard, catalan=_catalan(n + 1))
+        routes = {"touchard": touchard, "catalan": _catalan(n + 1), "motzkin_paths": bicolored}
+        yield _case(label, {"n": n}, **routes)
 
 
 def _suite_factorization(max_n):

@@ -137,6 +137,7 @@ def test_clear_caches_empties_every_memo_and_both_series():
         # the M <-> C edges check the weight of every term
         lambda: algebra.convert(QSymElement.monomial("M", (3, 3)), "C"),
         lambda: algebra.convert(QSymElement("C", {(2,): 1, (3, 3): 2}), "M"),
+        lambda: incidence.lattice_oracle(6),
     ],
 )
 def test_degree_bound_refuses_a_cache_hit(call, monkeypatch):

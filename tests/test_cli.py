@@ -1,7 +1,9 @@
 import argparse
 import ast
 import functools
+import hashlib
 import json
+import math
 import numbers
 import os
 import re
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from nclag import algebra, cli, compositions as comps, hopf, lagrange, noncrossing, parking, verify
+from nclag import algebra, cli, compositions as comps, hopf, incidence, lagrange, noncrossing
+from nclag import parking, verify
 
 from test_parking import all_pairs_of_profiles, is_parking_biprofile
 
@@ -69,6 +72,14 @@ def test_convert(capsys):
     code, out, _ = run(capsys, "convert", "--from", "G", "--to", "S", "--index", "21")
     assert code == 0
     assert out.strip() == "S[2,1] + S[1,1,1]"
+
+
+@pytest.mark.parametrize("basis", algebra.NSYM_BASES)
+def test_antipode_of_a_monomial_reads_every_nsym_basis(capsys, basis):
+    code, out, _ = run(capsys, "antipode", "--index", "21", "--basis", basis)
+    assert code == 0
+    x = algebra.convert(algebra.NSymElement.monomial(basis, (2, 1)), "S")
+    assert out.strip() == repr(algebra.convert(algebra.antipode(x), basis))
 
 
 def test_antipode_of_g_n_refuses_a_basis(capsys):
@@ -498,7 +509,38 @@ CORRUPTED_ROUTES = [
     # a dict route: one biprofile's split count raised by 1
     (hopf, "split_biprofile_tally", (3,), "coproduct", "parking_biprofiles",
      "biprofile regrouping, n=3"),
+    # a set route: one word left out
+    (parking, "enumerate_ndpf", (3,), "appendix", "dumb_bijection",
+     "direct bijection onto ndpf, n=3"),
+    # series components: one term of the top component raised by 1
+    (lagrange, "neg_g_inverse_fixed_point", (3,), "lagrange", "series_inverse",
+     "inverse series fixed point"),
+    # a scalar route, which has no term
+    (incidence, "multichain_count", (2, 2), "incidence", "lattice",
+     "multichain count vs oracle, n=2 k=2"),
 ]
+
+
+def _corrupted(value):
+    """`value` with one term changed, that term's key as a witness names it
+    (None for a scalar) and its values before and after: a number raised by
+    1, a listing without its first item (its first route keeps the item),
+    the top one of a list of series components or the largest key of an
+    element or a dict raised by 1."""
+    if isinstance(value, int):
+        return value + 1, None, [value, value + 1]
+    if isinstance(value, list) and isinstance(value[0], tuple):
+        return value[1:], value[0], [True, False]
+    if isinstance(value, list):
+        *lower, top = value
+        top, key, values = _corrupted(top)
+        return [*lower, top], (len(lower), key), values
+    terms = getattr(value, "terms", value)
+    key = max(terms)
+    bumped = {**terms, key: terms[key] + 1}
+    if hasattr(value, "terms"):
+        bumped = type(value)(value.basis, bumped)
+    return bumped, key, [terms[key], terms[key] + 1]
 
 
 @pytest.mark.parametrize(
@@ -510,16 +552,10 @@ def test_a_corrupted_route_is_named_with_its_first_differing_term(
     capsys, monkeypatch, module, route, args, suite, first, label
 ):
     true = getattr(module, route)
-    value = true(*args)
-    terms = getattr(value, "terms", value)
-    key = max(terms)
-    bumped = {**terms, key: terms[key] + 1}
+    bumped, key, values = _corrupted(true(*args))
 
     def corrupted(*a):
-        x = true(*a)
-        if a != args:
-            return x
-        return type(x)(x.basis, bumped) if hasattr(x, "terms") else bumped
+        return bumped if a == args else true(*a)
 
     monkeypatch.setattr(module, route, corrupted)
     code, out, _ = run(capsys, "--json", "verify", "--suite", suite, "--max-n", "3")
@@ -529,8 +565,8 @@ def test_a_corrupted_route_is_named_with_its_first_differing_term(
     (bad,) = [c for r in data["reports"] for c in r["cases"] if not c["ok"]]
     assert bad["case"] == label
     assert bad["witness"]["routes"] == [first, route]
-    assert bad["witness"]["term"] == json.loads(json.dumps(key))
-    assert bad["witness"]["values"] == [terms[key], terms[key] + 1]
+    assert bad["witness"].get("term") == json.loads(json.dumps(key))
+    assert bad["witness"]["values"] == values
 
 
 def _cheap(value):
@@ -847,12 +883,31 @@ def _verify_cases_of_the_benchmark():
     raise LookupError("VERIFY_CASES not found")
 
 
+def _without_seconds(value):
+    """A JSON value with every ``seconds`` key dropped, at any depth."""
+    if isinstance(value, dict):
+        return {k: _without_seconds(v) for k, v in value.items() if k != "seconds"}
+    if isinstance(value, list):
+        return list(map(_without_seconds, value))
+    return value
+
+
+# sha1 of the whole passing report, sorted keys, without its timings
+VERIFY_REPORT_SHA1 = {
+    3: "4e68ec3162e951e3f907133943ef5852ed45fdd5",
+    6: "da2f0fca80687f9e45f72084993c5b08531d1286",
+}
+
+
 @pytest.mark.parametrize("max_n", [3, 6])
 def test_verify_case_count_matches_the_benchmark(capsys, max_n):
     code, out, _ = run(capsys, "--json", "verify", "--suite", "all", "--max-n", str(max_n))
     assert code == 0
-    cases = sum(len(r["cases"]) for r in json.loads(out)["reports"])
+    report = json.loads(out)
+    cases = sum(len(r["cases"]) for r in report["reports"])
     assert cases == _verify_cases_of_the_benchmark()[max_n]
+    text = json.dumps(_without_seconds(report), sort_keys=True)
+    assert hashlib.sha1(text.encode()).hexdigest() == VERIFY_REPORT_SHA1[max_n]
 
 
 def test_convert_from_f_prints_integer_coefficients(capsys):
@@ -921,6 +976,15 @@ def test_enumerate_size_is_bounded_up_front(capsys, monkeypatch, what):
     assert "NCLAG_MAX_DEGREE" in err
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mobius_number_is_the_signed_catalan_number(capsys, monkeypatch, n):
+    # mu(0, 1) of NC(n) is (-1)^(n-1) Cat(n-1), read off the lattice itself
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    code, out, _ = run(capsys, "incidence", "mobius-number", "--n", str(n))
+    assert code == 0
+    assert int(out) == (-1) ** (n - 1) * math.comb(2 * n - 2, n - 1) // n
+
+
 @pytest.mark.parametrize(
     "function", [["zeta"], ["zeta", "--power", "2"], ["mobius"], ["identity"]], ids="-".join
 )
@@ -948,6 +1012,7 @@ def test_incidence_values_at_degree_zero_is_one_value(capsys, function):
         ["expand", "--series", "gk", "--k", "401", "--degree", "10"],
         ["incidence", "values", "--degree", "100000"],
         ["incidence", "multichains", "--n", "11", "--k", "2"],
+        ["incidence", "mobius-number", "--n", "11"],
         # every --index is bounded by its weight, not part by part
         ["convert", "--from", "L", "--to", "G", "--index", "9,9"],
         ["convert", "--from", "S", "--to", "L", "--index", "17,"],
@@ -986,6 +1051,7 @@ def test_listing_sizes_are_bounded_up_front(capsys, monkeypatch, argv):
         (["expand", "--series", "gk", "--k", "600", "--degree", "2"], 3),
         (["incidence", "values", "--degree", "4"], 4),
         (["incidence", "multichains", "--n", "4", "--k", "2"], 4),
+        (["incidence", "mobius-number", "--n", "4"], 4),
         # refused by weight while every part is below the bound
         (["convert", "--from", "S", "--to", "L", "--index", "2,3"], 5),
         (["coproduct", "--index", "22"], 4),
@@ -1183,7 +1249,7 @@ BAD_INPUTS = [
     ["factorize", "--index", "0", "--left", "1", "--right", "1"],
     ["incidence", "multichains", "--n", "3", "--k", "0"],
     ["incidence", "chains", "--n", "3", "--jumps", "5"],
-    ["incidence", "mobius-number", "--n", "9"],
+    ["incidence", "mobius-number", "--n", "11"],
     ["incidence", "biane", "--n", "-3", "--orders", "2"],
     ["incidence", "biane", "--n", "0", "--orders", ""],
     ["verify", "--suite", "nope"],

@@ -269,9 +269,15 @@ def test_chain_count_rejects_non_integer(monkeypatch):
         inc.chain_count(4, (1, 2))
 
 
-def test_lattice_cap():
-    with pytest.raises(ValueError):
-        inc.NCLattice(8)
+def test_lattice_cap(monkeypatch):
+    # the cap is the degree bound, NCLAG_MAX_DEGREE
+    monkeypatch.delenv("NCLAG_MAX_DEGREE", raising=False)
+    with pytest.raises(ValueError, match="degree 11 exceeds the table bound 10"):
+        inc.NCLattice(11)
+    monkeypatch.setenv("NCLAG_MAX_DEGREE", "4")
+    with pytest.raises(ValueError, match="degree 5 exceeds the table bound 4"):
+        inc.NCLattice(5)
+    assert len(inc.NCLattice(4).elements) == catalan(4)
     with pytest.raises(ValueError):
         inc.NCLattice(0)
 
